@@ -167,15 +167,9 @@ _ELLIPTIC_WORDS = {
 }
 
 
-def _isqrt_floor(d: int) -> int:
-    from math import isqrt
-
-    return isqrt(d)
-
-
 def _floor_quad(p: int, q: int, d: int) -> int:
     """floor((p + sqrt(d)) / q) for nonsquare d > 0, any q != 0."""
-    f = _isqrt_floor(d)
+    f = isqrt(d)
     if q > 0:
         return (p + f) // q
     return -((p + f) // (-q)) - 1
@@ -258,8 +252,6 @@ def _normalize_parabolic(m) -> Parabolic:
     gamma = mm[1][0]
     if beta == 0 and gamma == 0 and alpha == 0:
         return Parabolic(sign, 0)
-    from math import gcd
-
     g = gcd(gcd(abs(alpha), abs(beta)), abs(gamma))
     n = g if (beta > 0 or (beta == 0 and gamma < 0)) else -g
     return Parabolic(sign, n)
@@ -358,17 +350,6 @@ def _s1a_half_numerator(d) -> int:
     if len(ps) != 1:
         raise AssertionError(f"S1a decompositions of {tuple(d)} disagree: {ps}")
     return ps.pop()
-
-
-def square_order_obstruction(a, parity: str) -> Reason | None:
-    """A non-square homology order obstructs bounding; None when silent."""
-    order = homology_order(a, parity)
-    if is_square(order):
-        return None
-    return Reason(
-        "square-order",
-        f"|H1| = {order} for {parity} twists is not a perfect square",
-    )
 
 
 def _embedding_exists(a, kind) -> bool | None:

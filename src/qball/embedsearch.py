@@ -20,6 +20,11 @@ candidate generator prunes on exact pairwise products with everything
 already assigned (new columns never meet older vectors, so partial
 products must land exactly).
 
+find_embedding and find_standard first apply a determinant certificate:
+n vectors realizing the Gram matrix Q make Q = -A A^T with A the square
+integer matrix of their coordinates, so |det Q| = det(A)^2 is a perfect
+square; when it is not, the answer is Exhausted without a search node.
+
 The sweep driver verify_classification() runs both cyclic searches for
 every canonical string with an entry >= 3 and I <= 0 up to a given
 length and compares against family membership: negative embeddings
@@ -53,6 +58,11 @@ FOUND = "found"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget_exceeded"
 
+# what decided a search: the backtracking engine, or a non-square
+# Gram determinant (which proves Exhausted with zero nodes)
+SEARCH = "search"
+DET_NONSQUARE = "det-nonsquare"
+
 DEFAULT_BUDGET = 10**9
 
 # Strings for which the exhaustive search, run to completion, exhibits a
@@ -81,13 +91,19 @@ class SearchResult:
     witness: LatticeSubset | None
     nodes: int
     elapsed: float
+    certificate: str = SEARCH
 
     @property
     def found(self) -> bool:
         return self.outcome == FOUND
 
     def to_json(self) -> dict:
-        out = {"outcome": self.outcome, "nodes": self.nodes, "ms": round(self.elapsed * 1000, 3)}
+        out = {
+            "outcome": self.outcome,
+            "certificate": self.certificate,
+            "nodes": self.nodes,
+            "ms": round(self.elapsed * 1000, 3),
+        }
         if self.witness is not None:
             out["witness"] = self.witness.to_json()
         return out
@@ -131,6 +147,43 @@ def _target_gram(a, kind: str):
         targets[(i, i + 1)] = 1
     targets[(0, n - 1)] = -1 if kind == NEGATIVE else 1
     return targets
+
+
+def _gram_det(a, targets) -> int:
+    """Determinant of the Gram matrix with diagonal -a_i and off-diagonal
+    entries from targets, by Bareiss fraction-free elimination (every
+    intermediate is an exact integer)."""
+    n = len(a)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = -a[i]
+    for (i, j), g in targets.items():
+        m[i][j] = m[j][i] = g
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _search(a, kind, budget) -> SearchResult:
+    """The engine behind a determinant prefilter: a non-square |det Q|
+    proves Exhausted before any node is spent."""
+    t0 = time.perf_counter()
+    targets = _target_gram(a, kind)
+    if targets is not None:
+        d = abs(_gram_det(a, targets))
+        if isqrt(d) ** 2 != d:
+            return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
+    return _Engine(a, kind, budget).run()
 
 
 class _Engine:
@@ -240,9 +293,8 @@ class _Engine:
             vectors = tuple(self.witness[i] for i in range(self.n))
             witness = classify_subset(vectors)
             want_kind = self.kind
-            got_string = witness.string if want_kind != STANDARD else witness.string
             expect = canonical_form(self.a) if want_kind != STANDARD else tuple(self.a)
-            if witness.kind != want_kind or got_string not in (expect, tuple(reversed(expect))):
+            if witness.kind != want_kind or witness.string not in (expect, tuple(reversed(expect))):
                 raise AssertionError(
                     f"witness failed revalidation: {witness.kind} {witness.string} "
                     f"for query {self.kind} {self.a}"
@@ -257,7 +309,7 @@ def find_embedding(a, kind: str, budget: int = DEFAULT_BUDGET) -> SearchResult:
         raise ValueError("embedding queries need length >= 2")
     if kind not in (NEGATIVE, POSITIVE):
         raise ValueError(f"kind must be {NEGATIVE} or {POSITIVE}, got {kind!r}")
-    return _Engine(a, kind, budget).run()
+    return _search(a, kind, budget)
 
 
 def find_standard(b, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -268,7 +320,7 @@ def find_standard(b, budget: int = DEFAULT_BUDGET) -> SearchResult:
     for x in b:
         if x < 2:
             raise ValueError(f"entry {x} < 2 in {b}")
-    return _Engine(b, STANDARD, budget).run()
+    return _search(b, STANDARD, budget)
 
 
 def _all_vectors(n: int, square: int):
@@ -452,26 +504,31 @@ def verify_classification(
 
     The work is split across rows, each searched single-threaded, so the
     report content is identical for every worker count.  Rows stream to
-    row_callback as they are produced (in deterministic order).
+    row_callback as they are produced, in sweep order for any worker
+    count.  skip_until must name a string of the sweep universe.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     strings = list(sweep_strings(max_n))
     if skip_until is not None:
-        skip_until = canonical_form(skip_until)
-        if skip_until in strings:
-            strings = strings[strings.index(skip_until):]
+        start = canonical_form(skip_until)
+        if start not in strings:
+            raise ValueError(f"skip-until string {tuple(skip_until)} is not in the max_n={max_n} sweep")
+        strings = strings[strings.index(start):]
     report = VerificationReport(max_n, mode)
     jobs = [(a, budget) for a in strings]
+
+    def collect(rows):
+        for row in rows:
+            report.rows.append(row)
+            if row_callback is not None:
+                row_callback(row)
+
     if workers > 1:
         with Pool(workers) as pool:
-            rows = pool.map(_row_for, jobs, chunksize=8)
+            collect(pool.imap(_row_for, jobs, chunksize=8))
     else:
-        rows = map(_row_for, jobs)
-    for row in rows:
-        report.rows.append(row)
-        if row_callback is not None:
-            row_callback(row)
+        collect(map(_row_for, jobs))
     return report
 
 

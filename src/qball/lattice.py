@@ -526,7 +526,7 @@ def _chain_cycle(n: int) -> list[Vector]:
     return vecs
 
 
-def _path(n, lo, hi, step_hi=None):
+def _path(n, lo, hi):
     # consecutive differences e_i - e_{i+1} for lo <= i < hi
     return [_vec(n, i, -(i + 1)) for i in range(lo, hi)]
 

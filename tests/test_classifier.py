@@ -24,11 +24,13 @@ from qball.classifier import (
     grading_shift,
     normalize_monodromy,
     reduced_floer_rank,
-    square_order_obstruction,
     string_matrix,
+    _rank_one_embeds,
 )
 from qball.contfrac import homology_order, is_square
+from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, SEARCH, find_embedding
 from qball.families import enumerate_strings
+from qball.lattice import NEGATIVE, POSITIVE
 from conftest import random_string
 
 _ID = ((1, 0), (0, 1))
@@ -235,9 +237,17 @@ def test_never_both_bound():
 
 
 def test_square_order_obstruction():
-    assert square_order_obstruction((3, 2, 2), "even") is not None
-    assert square_order_obstruction((2, 2, 2, 3, 2), "odd") is None
-    assert square_order_obstruction((3,), "even") is None
+    # a non-square homology order decides the embedding search with zero
+    # nodes (even twists: positive kind; odd twists: negative kind)
+    got = find_embedding((3, 2, 2), POSITIVE)
+    assert (got.outcome, got.certificate, got.nodes) == (EXHAUSTED, DET_NONSQUARE, 0)
+    assert homology_order((2, 2, 2, 3, 2), "odd") == 9
+    assert find_embedding((2, 2, 2, 3, 2), NEGATIVE).certificate == SEARCH
+    # length 1 is outside the search; the classifier's rank-one rule
+    # makes the same square test on the order a1 - 2 = 1
+    with pytest.raises(ValueError):
+        find_embedding((3,), POSITIVE)
+    assert _rank_one_embeds(3, POSITIVE)
 
 
 def test_bounds_orders_are_square():

@@ -71,8 +71,10 @@ def test_embed():
     payload = lines(out)[0]
     assert payload["outcome"] == "found"
     assert payload["witness"]["string"] == [3, 3, 3]
+    assert payload["certificate"] == "search"
     code, out = invoke("embed", "--a", "3,2,2", "--kind", "negative")
-    assert lines(out)[0]["outcome"] == "exhausted"
+    payload = lines(out)[0]
+    assert (payload["outcome"], payload["certificate"], payload["nodes"]) == ("exhausted", "det-nonsquare", 0)
     code, out = invoke("embed", "--a", "2,2,2", "--kind", "standard")
     assert lines(out)[0]["outcome"] == "found"
 
@@ -135,6 +137,8 @@ def test_verify_deterministic():
 def test_usage_errors_exit_1():
     code, _ = invoke("classify", "surgery", "--a", "bogus")
     assert code == 1
+    code, out = invoke("verify", "--max-n", "4", "--skip-until", "9,9")
+    assert code == 1 and out == ""  # no row is written before the error
     code, _ = invoke("dual", "--cyclic", "2,2")  # all-2 cyclic dual undefined
     assert code == 1
     with pytest.raises(SystemExit) as exc:

@@ -1,14 +1,25 @@
 """The embedding engine: completeness, soundness, and the sweep driver."""
 
 import itertools
+import multiprocessing
+import time
 
+import pytest
 
+from qball import embedsearch
 from qball.chainstring import canonical_form
+from qball.contfrac import hj_eval, homology_order
 from qball.embedsearch import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
+    DET_NONSQUARE,
     EXHAUSTED,
     FOUND,
+    SEARCH,
     THEOREM_GAP_STRINGS,
+    _Engine,
+    _gram_det,
+    _target_gram,
     find_embedding,
     find_standard,
     naive_find,
@@ -17,7 +28,7 @@ from qball.embedsearch import (
     verify_classification,
 )
 from qball.families import enumerate_members, in_s1, in_s2
-from qball.lattice import NEGATIVE, POSITIVE, classify_subset, incidence_stats
+from qball.lattice import NEGATIVE, POSITIVE, STANDARD, classify_subset, incidence_stats
 from conftest import assert_negative_cyclic_witness
 
 
@@ -138,6 +149,55 @@ def test_verify_skip_until():
     assert [r.string for r in rep2.rows] == [r.string for r in rep.rows[3:]]
 
 
+def test_verify_skip_until_outside_universe():
+    # a resume point the sweep never reaches must not restart it
+    with pytest.raises(ValueError, match="not in the max_n=4 sweep"):
+        verify_classification(4, "relaxed", skip_until=(9, 9))
+
+
+# State for _gated_row, inherited by the forked pool workers.
+_GATE: dict = {}
+
+
+def _gated_row(args):
+    """The sweep's row function, except that the last row waits (up to a
+    deadline) until the parent has received the first row, then leaves a
+    file saying it was computed."""
+    if args[0] == _GATE["last"]:
+        deadline = time.monotonic() + 30
+        while not _GATE["first_seen"].exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+    row = _GATE["row_for"](args)
+    if args[0] == _GATE["last"]:
+        _GATE["last_done"].touch()
+    return row
+
+
+def test_verify_streams_rows_with_workers(tmp_path, monkeypatch):
+    # with two workers the first row reaches the callback while the last
+    # row is still uncomputed: a sweep that collected every row before
+    # calling back would see last_done already written
+    _GATE.update(
+        last=list(sweep_strings(4))[-1],
+        first_seen=tmp_path / "first_seen",
+        last_done=tmp_path / "last_done",
+        row_for=embedsearch._row_for,
+    )
+    monkeypatch.setattr(embedsearch, "_row_for", _gated_row)
+    monkeypatch.setattr(embedsearch, "Pool", multiprocessing.get_context("fork").Pool)
+    last_done_at_first_row = []
+
+    def callback(row):
+        if not last_done_at_first_row:
+            last_done_at_first_row.append(_GATE["last_done"].exists())
+            _GATE["first_seen"].touch()
+
+    rep = verify_classification(4, "relaxed", workers=2, row_callback=callback)
+    assert last_done_at_first_row == [False]
+    assert _GATE["last_done"].exists()
+    assert [r.string for r in rep.rows] == list(sweep_strings(4))
+
+
 def test_report_lines_roundtrip():
     import json
 
@@ -179,3 +239,55 @@ def test_theorem_gap_string_witness():
     # its standard companion: removing one vertex leaves the catalogued
     # standard subset with string (3,2,3,3,3)
     assert find_standard((3, 2, 3, 3, 3)).found
+
+
+def _gram_order(a, kind):
+    return abs(_gram_det(a, _target_gram(a, kind)))
+
+
+def test_gram_determinant_is_homology_order():
+    # |det Q| of the searched Gram matrix is the odd-twist order for the
+    # negative kind, the even-twist order for the positive kind, and the
+    # continued-fraction numerator for a standard (linear) string
+    strings = list(sweep_strings(7))
+    assert len(strings) == 444
+    for a in strings:
+        assert _gram_order(a, NEGATIVE) == homology_order(a, "odd"), a
+        assert _gram_order(a, POSITIVE) == homology_order(a, "even"), a
+        assert _gram_order(a, STANDARD) == hj_eval(a).p, a
+
+
+def test_prefilter_agrees_with_raw_search():
+    # every search the determinant certificate decides is also exhausted
+    # by the unfiltered engine; elsewhere the engine decides
+    fired = 0
+    for a in sweep_strings(6):
+        for kind in (NEGATIVE, POSITIVE):
+            got = find_embedding(a, kind)
+            if got.certificate == DET_NONSQUARE:
+                fired += 1
+                assert (got.outcome, got.nodes) == (EXHAUSTED, 0), (a, kind)
+                assert _Engine(a, kind, DEFAULT_BUDGET).run().outcome == EXHAUSTED, (a, kind)
+            else:
+                assert got.certificate == SEARCH, (a, kind)
+    assert fired == 273
+    fired = 0
+    for n in range(2, 6):
+        for b in itertools.product(range(2, 6), repeat=n):
+            got = find_standard(b)
+            if got.certificate == DET_NONSQUARE:
+                fired += 1
+                assert (got.outcome, got.nodes) == (EXHAUSTED, 0), b
+                assert _Engine(b, STANDARD, DEFAULT_BUDGET).run().outcome == EXHAUSTED, b
+    assert fired == 1300
+
+
+def test_gram_det_pivots_and_zero():
+    # a vanishing pivot is swapped with a lower row; a vanishing column
+    # makes the determinant 0, which is a square and never fires
+    assert _gram_det((2, 2, 2), {(0, 1): 2, (1, 2): 1}) == 2
+    assert _gram_det((2, 2, 3), {(0, 1): 2}) == 0
+    # all-2 negative strings have |det Q| = 4 and go to the engine
+    assert _gram_order((2, 2, 2, 2), NEGATIVE) == 4
+    got = find_embedding((2, 2, 2, 2), NEGATIVE)
+    assert got.found and got.certificate == SEARCH
