@@ -47,10 +47,10 @@ from .chainstring import (
     i_invariant,
     validate_chain,
 )
-from .contfrac import hj_eval, homology_order, is_square, monodromy_matrix
+from .contfrac import homology_order, is_square, monodromy_matrix, s1a_square_order
 from .families import (
     S1_TAGS,
-    member,
+    in_family,
     tags_of,
 )
 
@@ -140,21 +140,13 @@ def _t_pow(n):
     return ((1, n), (0, 1))
 
 
-def _block(a):
-    # T^-a * S = [[a, 1], [-1, 0]]
-    return ((a, 1), (-1, 0))
-
-
 def string_matrix(a) -> tuple[tuple[int, int], tuple[int, int]]:
     """The monodromy representative T^-a_n S ... T^-a_1 S.
 
     This product order realizes [[p, q], [-s, -r]] with p/q and s/r the
     continued-fraction values of a and of a without its last entry.
     """
-    m = _ID
-    for x in reversed(tuple(a)):
-        m = _mat_mul(m, _block(x))
-    return m
+    return monodromy_matrix(a).matrix()
 
 
 _ELLIPTIC_WORDS = {
@@ -208,18 +200,15 @@ def normalize_monodromy(m) -> MonodromyClass:
     # power of the block product of the cycle word
     inv = ((conj[1][1], -conj[0][1]), (-conj[1][0], conj[0][0]))
     got = _mat_mul(_mat_mul(conj, mm), inv)
+    # the word has an entry >= 3, so the base has trace >= 3 and the
+    # traces of its powers grow strictly: the walk stops
     base = string_matrix(word)
-    power = 0
-    acc = base
-    for k in range(1, 64):
-        if acc == got:
-            power = k
-            break
+    acc, power = base, 1
+    while acc != got:
         if acc[0][0] + acc[1][1] > got[0][0] + got[1][1]:
-            break
+            raise NormalFormNotFound(f"cycle word {word} not certified for {m}")
         acc = _mat_mul(acc, base)
-    if not power:
-        raise NormalFormNotFound(f"cycle word {word} not certified for {m}")
+        power += 1
     return Hyperbolic(sign, canonical_form(word * power))
 
 
@@ -297,8 +286,12 @@ def _hyperbolic_cycle(m):
 # torus bundles
 
 
-def classify_torus_bundle(mc: MonodromyClass, mode: str = "strict") -> Verdict:
-    """Does the torus bundle bound a rational homology circle?"""
+def classify_torus_bundle(mc: MonodromyClass) -> Verdict:
+    """Does the torus bundle bound a rational homology circle?
+
+    A positive hyperbolic bundle is decided by S2c membership alone; S2c
+    has no side condition, so the verdict takes no mode.
+    """
     if isinstance(mc, Elliptic):
         if mc.word not in _ELLIPTIC_WORDS:
             raise ClassifierError(f"unknown elliptic word {mc.word!r}")
@@ -322,7 +315,7 @@ def classify_torus_bundle(mc: MonodromyClass, mode: str = "strict") -> Verdict:
                 NOT_BOUNDS,
                 Reason("hyperbolic-negative", "no negative hyperbolic bundle bounds"),
             )
-        if "S2c" in tags_of(mc.string, mode):
+        if in_family(mc.string, "S2c"):
             return _verdict(
                 BOUNDS,
                 Reason("hyperbolic-S2c", f"{mc.string} lies in S2c"),
@@ -339,17 +332,6 @@ def classify_torus_bundle(mc: MonodromyClass, mode: str = "strict") -> Verdict:
 
 # ---------------------------------------------------------------------------
 # chain-link surgeries
-
-
-def _s1a_half_numerator(d) -> int:
-    """The numerator p of the half-string of an S1a decomposition."""
-    hits = [w for w in member(d, "strict") if w.tag == "S1a"]
-    ps = {hj_eval(w.params["b"]).p for w in hits}
-    if not ps:
-        raise ClassifierError(f"{tuple(d)} is not in S1a")
-    if len(ps) != 1:
-        raise AssertionError(f"S1a decompositions of {tuple(d)} disagree: {ps}")
-    return ps.pop()
 
 
 def _embedding_exists(a, kind) -> bool | None:
@@ -429,7 +411,7 @@ def _odd_verdict(a, d, mode) -> Verdict:
             Reason("odd-dual-membership", f"cyclic dual {d} lies in {fam}"),
         )
     if "S1a" in tags_d:
-        p = _s1a_half_numerator(d)
+        p = isqrt(s1a_square_order(d))  # the half-string numerator
         if p % 2 == 1:
             return _verdict(
                 NOT_BOUNDS,

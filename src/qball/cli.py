@@ -30,6 +30,27 @@ def _emit(obj, out):
     out.write("\n")
 
 
+class _LazyFile:
+    """Opens its path for writing at the first write, so a command that
+    fails its argument checks leaves an existing file untouched."""
+
+    def __init__(self, path):
+        self.path, self.file = path, None
+
+    def write(self, text):
+        if self.file is None:
+            self.file = open(self.path, "w")
+        return self.file.write(text)
+
+    def flush(self):
+        if self.file is not None:
+            self.file.flush()
+
+    def close(self):
+        if self.file is not None:
+            self.file.close()
+
+
 def _string(text):
     return chainstring.validate_chain(chainstring.parse_string(text))
 
@@ -117,7 +138,7 @@ def cmd_classify(args, out):
             raise chainstring.StringError("--matrix takes four integers a,b,c,d")
         m = ((entries[0], entries[1]), (entries[2], entries[3]))
         mc = classifier.normalize_monodromy(m)
-        verdict = classifier.classify_torus_bundle(mc, args.mode)
+        verdict = classifier.classify_torus_bundle(mc)
         payload = {"matrix": args.matrix, "class": repr(mc)}
     payload.update(verdict.to_json())
     _emit(payload, out)
@@ -218,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", metavar="CSV")
     p.add_argument("--t", type=int, default=0)
     p.add_argument("--matrix", metavar="A,B,C,D", help="bundle monodromy entries")
-    p.add_argument("--mode", choices=families.MODES, default="strict")
+    p.add_argument("--mode", choices=families.MODES, default="strict", help="surgery and braid only")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("braid", help="braid word whose double cover is the surgery")
@@ -253,7 +274,7 @@ def run(argv=None, out=None) -> int:
     close = False
     if out is None:
         if getattr(args, "out", None):
-            out = open(args.out, "w")
+            out = _LazyFile(args.out)
             close = True
         else:
             out = sys.stdout

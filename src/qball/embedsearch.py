@@ -24,6 +24,10 @@ find_embedding and find_standard first apply a determinant certificate:
 n vectors realizing the Gram matrix Q make Q = -A A^T with A the square
 integer matrix of their coordinates, so |det Q| = det(A)^2 is a perfect
 square; when it is not, the answer is Exhausted without a search node.
+|det Q| is read off values computed in O(n): it is tr(M_a) + 2 for the
+negative cyclic kind and tr(M_a) - 2 for the positive one, with M_a the
+monodromy matrix of a (the homology orders of the odd and even
+surgeries), and the continued-fraction numerator of a standard string.
 
 The sweep driver verify_classification() runs both cyclic searches for
 every canonical string with an entry >= 3 and I <= 0 up to a given
@@ -37,7 +41,6 @@ sweep's length, and no other row, to disagree.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,12 +48,14 @@ from math import isqrt
 from multiprocessing import Pool
 
 from .chainstring import canonical_form, i_invariant, validate_chain
+from .contfrac import hj_eval, is_square, monodromy_matrix
 from .families import (
     EXCEPTIONAL_TAG,
     S1_TAGS,
     S2_TAGS,
     enumerate_strings,
-    tags_of,
+    member,
+    side_condition_holds,
 )
 from .lattice import INVALID, NEGATIVE, POSITIVE, STANDARD, LatticeSubset, classify_subset
 
@@ -149,39 +154,16 @@ def _target_gram(a, kind: str):
     return targets
 
 
-def _gram_det(a, targets) -> int:
-    """Determinant of the Gram matrix with diagonal -a_i and off-diagonal
-    entries from targets, by Bareiss fraction-free elimination (every
-    intermediate is an exact integer)."""
-    n = len(a)
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = -a[i]
-    for (i, j), g in targets.items():
-        m[i][j] = m[j][i] = g
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _search(a, kind, budget) -> SearchResult:
     """The engine behind a determinant prefilter: a non-square |det Q|
     proves Exhausted before any node is spent."""
     t0 = time.perf_counter()
-    targets = _target_gram(a, kind)
-    if targets is not None:
-        d = abs(_gram_det(a, targets))
-        if isqrt(d) ** 2 != d:
+    if _target_gram(a, kind) is not None:
+        if kind == STANDARD:
+            d = hj_eval(a).p
+        else:
+            d = monodromy_matrix(a).trace + (2 if kind == NEGATIVE else -2)
+        if not is_square(d):
             return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
     return _Engine(a, kind, budget).run()
 
@@ -455,8 +437,11 @@ CSV_HEADER = "string,I,s1_strict,s1_relaxed,s2_strict,s2_relaxed,neg,pos,agree,n
 
 def _row_for(args) -> Row:
     a, budget = args
-    tags_strict = tags_of(a, "strict")
-    tags_relaxed = tags_of(a, "relaxed")
+    # one scan: relaxed witnesses, of which the strict ones meet the
+    # side conditions as written
+    witnesses = member(a, "relaxed")
+    tags_relaxed = {w.tag for w in witnesses}
+    tags_strict = {w.tag for w in witnesses if side_condition_holds(w.tag, w.params, "strict")}
     neg = find_embedding(a, NEGATIVE, budget)
     pos = find_embedding(a, POSITIVE, budget)
     return Row(
@@ -530,13 +515,3 @@ def verify_classification(
     else:
         collect(map(_row_for, jobs))
     return report
-
-
-def report_lines(report: VerificationReport, csv: bool = False):
-    if csv:
-        yield CSV_HEADER
-        for row in report.rows:
-            yield row.to_csv(report.mode)
-    else:
-        for row in report.rows:
-            yield json.dumps(row.to_json(report.mode))

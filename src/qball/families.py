@@ -31,7 +31,10 @@ template (this puts (4, 2) in S2a).
 The side conditions k+l >= 3 on S1d and S2e exclude two strings whose
 surgeries behave exactly like the rest of the family, so deciders take
 a mode: "strict" enforces the conditions as written, "relaxed" lowers
-S1d and S2e to k+l >= 2.  Everything else is mode-independent.
+S1d and S2e to k+l >= 2.  Everything else is mode-independent.  The
+matchers ignore the mode and yield every split; a mode only filters the
+witnesses of one scan through side_condition_holds, so the relaxed
+witnesses of a string carry its strict ones too.
 """
 
 from __future__ import annotations
@@ -58,11 +61,23 @@ ALL_TAGS = S1_TAGS + S2_TAGS + (EXCEPTIONAL_TAG,)
 
 MODES = ("strict", "relaxed")
 
+# the least k+l = len(b) + len(c) each template admits as written;
+# relaxed mode lowers S1d and S2e to 2
+_MIN_KL = {"S1a": 3, "S1b": 2, "S1c": 2, "S1d": 3, "S2a": 1, "S2b": 2, "S2e": 3}
+
 
 def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return mode
+
+
+def side_condition_holds(tag: str, params: dict, mode: str) -> bool:
+    """Whether a template match meets its family's k+l side condition."""
+    if tag not in _MIN_KL or params.get("sporadic"):
+        return True
+    floor = 2 if mode == "relaxed" and tag in ("S1d", "S2e") else _MIN_KL[tag]
+    return len(params["b"]) + len(params["c"]) >= floor
 
 
 @dataclass(frozen=True)
@@ -167,7 +182,8 @@ def assemble(tag: str, params: dict) -> tuple[int, ...]:
 # per-rotation template matchers
 #
 # Each matcher takes one fixed sequence s and yields params dicts such
-# that assemble(tag, params) == s.  The dihedral scan happens in member().
+# that assemble(tag, params) == s, whatever their k+l.  The dihedral
+# scan happens in _scan().
 
 
 def _is_dual_pair(b, c) -> bool:
@@ -178,8 +194,8 @@ def _is_dual_pair(b, c) -> bool:
     return linear_dual(b) == tuple(c)
 
 
-def _split_b_c(s, mid: int, last: int):
-    # s = b + (mid,) + reverse(c) + (last,); yields (b, c) over all splits
+def _match_s1abc(s, mid: int, last: int):
+    # s = b + (mid,) + reverse(c) + (last,), over all splits
     n = len(s)
     if s[n - 1] != last:
         return
@@ -189,17 +205,6 @@ def _split_b_c(s, mid: int, last: int):
         b = s[:k]
         c = reverse(s[k + 1 : n - 1])
         if min(b) >= 2 and (not c or min(c) >= 2) and _is_dual_pair(b, c):
-            yield b, c
-
-
-def _match_s1abc(tag, s, mode):
-    mid, last, min_kl = {
-        "S1a": (2, 2, 3),
-        "S1b": (2, 5, 2),
-        "S1c": (3, 3, 2),
-    }[tag]
-    for b, c in _split_b_c(s, mid, last):
-        if len(b) + len(c) >= min_kl:
             yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
@@ -212,9 +217,8 @@ def _unbump_both_ends(part):
     return b if min(b) >= 2 else None
 
 
-def _match_s1d(s, mode):
+def _match_s1d(s):
     n = len(s)
-    min_kl = 3 if mode == "strict" else 2
     if n < 6 or s[0] != 2 or s[n - 1] != 2:
         return
     for k in range(1, n - 4):
@@ -227,7 +231,7 @@ def _match_s1d(s, mode):
         c = _unbump_both_ends(reverse(cpart))
         if c is None:
             continue
-        if len(b) + len(c) >= min_kl and _is_dual_pair(b, c):
+        if _is_dual_pair(b, c):
             yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
@@ -243,7 +247,7 @@ def _match_fixed_x(tag, s):
             yield {"x": x}
 
 
-def _match_s2a(s, mode):
+def _match_s2a(s):
     n = len(s)
     if s[0] < 5:
         # b_1 + 3 with b_1 >= 2 needs s[0] >= 5, except the b = (1) case
@@ -259,7 +263,7 @@ def _match_s2a(s, mode):
             yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
-def _match_s2b(s, mode):
+def _match_s2b(s):
     n = len(s)
     x = s[0] - 3
     if x < 0:
@@ -279,11 +283,11 @@ def _match_s2b(s, mode):
             continue
         cpart = (tail[0] - 1,) + tail[1:]
         c = reverse(cpart)
-        if min(b) >= 2 and min(c) >= 2 and len(b) + len(c) >= 2 and _is_dual_pair(b, c):
+        if min(b) >= 2 and min(c) >= 2 and _is_dual_pair(b, c):
             yield {"b": b, "c": c, "x": x, "k": len(b), "l": len(c)}
 
 
-def _match_s2c(s, mode):
+def _match_s2c(s):
     if s[0] < 3:
         return
     # parse into (3+x, 2-run) blocks; an odd block count 2k+1 is required
@@ -314,11 +318,10 @@ def _match_s2c(s, mode):
     yield {"x": tuple(xs), "k": k}
 
 
-def _match_s2e(s, mode):
+def _match_s2e(s):
     if s == (2, 2, 2, 3):
         yield {"sporadic": True}
     n = len(s)
-    min_kl = 3 if mode == "strict" else 2
     if n < 5 or s[0] != 2 or s[n - 1] != 2:
         return
     for k in range(1, n - 3):
@@ -333,22 +336,38 @@ def _match_s2e(s, mode):
             continue
         cpart = tail[:-1] + (tail[-1] - 1,)
         c = reverse(cpart)
-        if min(b) >= 2 and min(c) >= 2 and len(b) + len(c) >= min_kl and _is_dual_pair(b, c):
+        if min(b) >= 2 and min(c) >= 2 and _is_dual_pair(b, c):
             yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
 _MATCHERS = {
-    "S1a": lambda s, mode: _match_s1abc("S1a", s, mode),
-    "S1b": lambda s, mode: _match_s1abc("S1b", s, mode),
-    "S1c": lambda s, mode: _match_s1abc("S1c", s, mode),
+    "S1a": lambda s: _match_s1abc(s, 2, 2),
+    "S1b": lambda s: _match_s1abc(s, 2, 5),
+    "S1c": lambda s: _match_s1abc(s, 3, 3),
     "S1d": _match_s1d,
-    "S1e": lambda s, mode: _match_fixed_x("S1e", s),
+    "S1e": lambda s: _match_fixed_x("S1e", s),
     "S2a": _match_s2a,
     "S2b": _match_s2b,
     "S2c": _match_s2c,
-    "S2d": lambda s, mode: _match_fixed_x("S2d", s),
+    "S2d": lambda s: _match_fixed_x("S2d", s),
     "S2e": _match_s2e,
 }
+
+
+def _scan(a, tags, mode):
+    """Distinct witnesses of the given template tags over the dihedral
+    orbit of a that meet the side condition of mode, in scan order."""
+    seen = set()
+    for flipped in (False, True):
+        base = reverse(a) if flipped else a
+        for k in range(len(a)):
+            s = rotate(base, k)
+            for tag in tags:
+                for params in _MATCHERS[tag](s):
+                    key = (tag, k, flipped, repr(sorted(params.items())))
+                    if key not in seen and side_condition_holds(tag, params, mode):
+                        seen.add(key)
+                        yield Witness(tag, k, flipped, params)
 
 
 def member(a, mode: str = "strict") -> list[Witness]:
@@ -359,19 +378,7 @@ def member(a, mode: str = "strict") -> list[Witness]:
     """
     a = validate_chain(a)
     _check_mode(mode)
-    n = len(a)
-    out = []
-    seen = set()
-    for flipped in (False, True):
-        base = reverse(a) if flipped else a
-        for k in range(n):
-            s = rotate(base, k)
-            for tag, matcher in _MATCHERS.items():
-                for params in matcher(s, mode):
-                    key = (tag, k, flipped, repr(sorted(params.items())))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(Witness(tag, k, flipped, params))
+    out = list(_scan(a, _MATCHERS, mode))
     if equivalent_to_exceptional(a):
         out.append(Witness(EXCEPTIONAL_TAG, 0, False, {}))
     out.sort(key=lambda w: (w.tag, w.rotation, w.reversed))
@@ -387,9 +394,14 @@ def tags_of(a, mode: str = "strict") -> set[str]:
 
 
 def in_family(a, tag: str, mode: str = "strict") -> bool:
+    """Membership in one family, scanning with that family's matcher only."""
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown family tag {tag!r}")
-    return tag in tags_of(a, mode)
+    a = validate_chain(a)
+    _check_mode(mode)
+    if tag == EXCEPTIONAL_TAG:
+        return equivalent_to_exceptional(a)
+    return any(_scan(a, (tag,), mode))
 
 
 def in_s1(a, mode: str = "strict") -> bool:
@@ -417,7 +429,7 @@ def s2c_halfreverse(a) -> bool:
     cyclic_blocks(a)  # raises AllTwosError on all-2 input
     n = len(a)
     if n == 1:
-        return bool(list(_match_s2c(a, "strict")))
+        return bool(list(_match_s2c(a)))
     for flipped in (False, True):
         base = reverse(a) if flipped else a
         for k in range(n):
@@ -553,11 +565,8 @@ def enumerate_family(tag: str, max_len: int, mode: str = "strict"):
             got = emit({"sporadic": True})
             if got is not None:
                 yield got
-        min_kl = {"S1a": 3, "S1b": 2, "S1c": 2, "S2a": 1}.get(tag)
-        if min_kl is None:  # S1d and S2e carry the mode-dependent condition
-            min_kl = 3 if mode == "strict" else 2
         for b, c in dual_pairs(max_len - overhead[tag]):
-            if len(b) + len(c) < min_kl:
+            if not side_condition_holds(tag, {"b": b, "c": c}, mode):
                 continue
             if tag in ("S1d", "S2e") and (b == (1,) or c == (1,) or not b or not c):
                 continue
@@ -570,9 +579,7 @@ def enumerate_family(tag: str, max_len: int, mode: str = "strict"):
 
     if tag == "S2b":
         for b, c in dual_pairs(max_len - 1):
-            if b == (1,) or not c:
-                continue
-            if len(b) + len(c) < 2:
+            if b == (1,) or not c or not side_condition_holds(tag, {"b": b, "c": c}, mode):
                 continue
             for x in range(0, max_len - 1 - len(b) - len(c) + 1):
                 got = emit({"b": b, "c": c, "x": x})

@@ -29,7 +29,7 @@ from qball.classifier import (
 )
 from qball.contfrac import homology_order, is_square
 from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, SEARCH, find_embedding
-from qball.families import enumerate_strings
+from qball.families import enumerate_strings, tags_of
 from qball.lattice import NEGATIVE, POSITIVE
 from conftest import random_string
 
@@ -121,6 +121,26 @@ def test_normalize_power_strings():
             assert got == Hyperbolic(1, canonical_form(a))
 
 
+def test_normalize_high_powers():
+    # no fixed cap on the exponent: the power walk stops on the trace
+    for base in [(3,), (2, 4)]:
+        m = _ID
+        for p in range(1, 201):
+            m = mat_mul(m, string_matrix(base))
+            for sign in (1, -1):
+                got = normalize_monodromy(m if sign > 0 else mat_neg(m))
+                assert got == Hyperbolic(sign, canonical_form(base * p)), (base, p, sign)
+
+
+def test_string_matrix_is_block_product():
+    # string_matrix is the product T^-a_n S ... T^-a_1 S of its docstring
+    for a in enumerate_strings(5, 2):
+        m = _ID
+        for x in reversed(a):
+            m = mat_mul(m, ((x, 1), (-1, 0)))
+        assert string_matrix(a) == m, a
+
+
 def test_normalize_elliptic_parabolic_conjugates(rng):
     from qball.classifier import _ELLIPTIC_WORDS
 
@@ -150,6 +170,15 @@ def test_trace_preserved_by_classification():
         m = conjugate(string_matrix(a), random_conjugator(rng))
         got = normalize_monodromy(m)
         assert monodromy_matrix(got.string).trace == m[0][0] + m[1][1]
+
+
+def test_bundle_verdict_is_s2c_membership():
+    # a positive hyperbolic bundle bounds exactly when its string is in
+    # S2c, which has no side condition, so both modes give the verdict
+    for a in enumerate_strings(7, 0):
+        bounds = classify_torus_bundle(Hyperbolic(1, a)).status == BOUNDS
+        for mode in ("strict", "relaxed"):
+            assert bounds == ("S2c" in tags_of(a, mode)), (a, mode)
 
 
 # ---------------------------------------------------------------------------

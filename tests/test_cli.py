@@ -152,3 +152,11 @@ def test_out_file(tmp_path):
     assert code == 0
     rows = [json.loads(line) for line in path.read_text().strip().splitlines()]
     assert rows[-1]["mismatches"] == []
+
+
+def test_out_file_untouched_on_usage_error(tmp_path):
+    path = tmp_path / "report.jsonl"
+    path.write_bytes(b"keep\n")
+    code = run(["verify", "--max-n", "4", "--skip-until", "9,9", "--out", str(path)])
+    assert code == 1
+    assert path.read_bytes() == b"keep\n"

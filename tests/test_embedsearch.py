@@ -18,12 +18,10 @@ from qball.embedsearch import (
     SEARCH,
     THEOREM_GAP_STRINGS,
     _Engine,
-    _gram_det,
     _target_gram,
     find_embedding,
     find_standard,
     naive_find,
-    report_lines,
     sweep_strings,
     verify_classification,
 )
@@ -198,18 +196,6 @@ def test_verify_streams_rows_with_workers(tmp_path, monkeypatch):
     assert [r.string for r in rep.rows] == list(sweep_strings(4))
 
 
-def test_report_lines_roundtrip():
-    import json
-
-    rep = verify_classification(3, "relaxed")
-    for line in report_lines(rep):
-        parsed = json.loads(line)
-        assert json.dumps(parsed, separators=(", ", ": ")) == line.replace(", ", ", ")
-    lines = list(report_lines(rep, csv=True))
-    assert lines[0].startswith("string,I,")
-    assert len(lines) == len(rep.rows) + 1
-
-
 def test_negative_found_rows_have_bounded_i():
     rep = verify_classification(6, "relaxed")
     for r in rep.rows:
@@ -239,6 +225,32 @@ def test_theorem_gap_string_witness():
     # its standard companion: removing one vertex leaves the catalogued
     # standard subset with string (3,2,3,3,3)
     assert find_standard((3, 2, 3, 3, 3)).found
+
+
+def _gram_det(a, targets) -> int:
+    """Determinant of the Gram matrix with diagonal -a_i and off-diagonal
+    entries from targets, by Bareiss fraction-free elimination (every
+    intermediate is an exact integer).  The oracle for the trace formula
+    the prefilter reads |det Q| from."""
+    n = len(a)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = -a[i]
+    for (i, j), g in targets.items():
+        m[i][j] = m[j][i] = g
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def _gram_order(a, kind):

@@ -27,6 +27,7 @@ from qball.families import (
     member,
     palindrome_criterion,
     s2c_halfreverse,
+    side_condition_holds,
     tags_of,
 )
 
@@ -239,3 +240,25 @@ def test_tags_of_multimembership():
     # the palindromic overlap: (5,3,2,2,3) sits in S2a, S2b and S2c
     tags = tags_of((3, 2, 2, 3, 5))
     assert {"S2a", "S2b", "S2c"} <= tags
+
+
+def test_in_family_single_tag_scan_matches_full_scan():
+    # in_family scans with one matcher only; it must agree with the tag
+    # set of the full ten-matcher scan for every tag and both modes
+    for a in enumerate_strings(7, 0):
+        for mode in ("strict", "relaxed"):
+            tags = tags_of(a, mode)
+            for tag in ALL_TAGS:
+                assert in_family(a, tag, mode) == (tag in tags), (a, tag, mode)
+
+
+def test_one_scan_carries_both_modes():
+    # the strict witnesses are the relaxed witnesses that meet the side
+    # conditions as written; only S1d and S2e differ, at k+l = 2
+    for a in enumerate_strings(7, 0):
+        relaxed = member(a, "relaxed")
+        strict = [w for w in relaxed if side_condition_holds(w.tag, w.params, "strict")]
+        assert [w.to_json() for w in strict] == [w.to_json() for w in member(a, "strict")], a
+        for w in relaxed:
+            if not side_condition_holds(w.tag, w.params, "strict"):
+                assert w.tag in ("S1d", "S2e") and w.params["k"] + w.params["l"] == 2, (a, w)
