@@ -21,6 +21,10 @@ family membership of a and of its cyclic dual d:
 Everything is decided exactly; a verdict is "Bounds", "NotBounds" or
 "Unknown" and carries the ordered list of rules that produced it.
 
+a and d are each scanned once; the decision reads only their tag sets,
+and the strict-mode boundary comes from comparing the strict and the
+relaxed tag sets of that one scan.
+
 Non-membership obstructions are never taken on faith: a NotBounds that
 rests on "no embedding exists" is certified by actually running the
 exhaustive lattice search on both the string and its dual.  When the
@@ -48,11 +52,7 @@ from .chainstring import (
     validate_chain,
 )
 from .contfrac import homology_order, is_square, monodromy_matrix, s1a_square_order
-from .families import (
-    S1_TAGS,
-    in_family,
-    tags_of,
-)
+from .families import S1_TAGS, _check_mode, in_family, mode_tag_sets
 
 BOUNDS = "Bounds"
 NOT_BOUNDS = "NotBounds"
@@ -395,76 +395,13 @@ def _obstructed(a, d, kind) -> Verdict | None:
     return None
 
 
-def _odd_verdict(a, d, mode) -> Verdict:
-    """Shared logic for t = -1 (and t = +1 via the mirror)."""
-    tags_a = tags_of(a, mode)
-    tags_d = tags_of(d, mode)
-    if tags_a & set(S1_TAGS):
-        fam = sorted(tags_a & set(S1_TAGS))[0]
-        return _verdict(
-            BOUNDS, Reason("odd-membership", f"string lies in {fam}")
-        )
-    if tags_d & {"S1b", "S1c", "S1d", "S1e"}:
-        fam = sorted(tags_d & {"S1b", "S1c", "S1d", "S1e"})[0]
-        return _verdict(
-            BOUNDS,
-            Reason("odd-dual-membership", f"cyclic dual {d} lies in {fam}"),
-        )
-    if "S1a" in tags_d:
-        p = isqrt(s1a_square_order(d))  # the half-string numerator
-        if p % 2 == 1:
-            return _verdict(
-                NOT_BOUNDS,
-                Reason(
-                    "dual-S1a-odd-order",
-                    f"dual in S1a with odd half-string numerator p = {p}: "
-                    "the correction term of the unique self-conjugate "
-                    "structure is nonzero",
-                ),
-            )
-        return _verdict(
-            UNKNOWN,
-            Reason(
-                "dual-S1a-even-order",
-                f"dual in S1a with even half-string numerator p = {p}; "
-                "no statement decides this case",
-            ),
-        )
-    obstructed = _obstructed(a, d, "negative_cyclic")
-    if obstructed is not None:
-        return obstructed
-    return _verdict(
-        UNKNOWN,
-        Reason(
-            "odd-embedding-found",
-            "a negative cyclic subset exists although the string is "
-            "outside S1, so the lattice obstruction is silent and no "
-            "construction is known",
-        ),
-    )
-
-
-def _annotate_mode_boundary(a, t, mode, verdict) -> Verdict:
-    if mode != "strict":
-        return verdict
-    relaxed = _classify_surgery(a, t, "relaxed")
-    if relaxed.status != verdict.status:
-        note = Reason(
-            "mode-boundary",
-            f"relaxed membership (side condition k+l >= 2) gives "
-            f"{relaxed.status}; the side condition as written excludes it",
-        )
-        return Verdict(UNKNOWN, verdict.reasons + (note,) + relaxed.reasons)
-    return verdict
-
-
 def classify_surgery(a, t: int, mode: str = "strict") -> Verdict:
-    """Does the chain-link surgery Y(a, t) bound a rational ball?"""
-    verdict = _classify_surgery(a, t, mode)
-    return _annotate_mode_boundary(a, t, mode, verdict)
+    """Does the chain-link surgery Y(a, t) bound a rational ball?
 
-
-def _classify_surgery(a, t: int, mode: str) -> Verdict:
+    Strict mode decides again, from the relaxed tag sets, only when the
+    two modes' sets differ; a different status marks a mode boundary.
+    """
+    _check_mode(mode)
     a = validate_chain(a)
 
     if max(a) < 3:
@@ -486,7 +423,27 @@ def _classify_surgery(a, t: int, mode: str) -> Verdict:
         )
 
     d = cyclic_dual(a)
+    strict_a, relaxed_a = mode_tag_sets(a)
+    strict_d, relaxed_d = mode_tag_sets(d)
+    if mode == "relaxed":
+        return _decide(a, d, t, relaxed_a, relaxed_d)
+    verdict = _decide(a, d, t, strict_a, strict_d)
+    if (strict_a, strict_d) == (relaxed_a, relaxed_d):
+        return verdict
+    relaxed = _decide(a, d, t, relaxed_a, relaxed_d)
+    if relaxed.status == verdict.status:
+        return verdict
+    note = Reason(
+        "mode-boundary",
+        f"relaxed membership (side condition k+l >= 2) gives "
+        f"{relaxed.status}; the side condition as written excludes it",
+    )
+    return Verdict(UNKNOWN, verdict.reasons + (note,) + relaxed.reasons)
 
+
+def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
+    """The verdict for a hyperbolic Y(a, t) from the family tags of a and
+    of its cyclic dual d; the caller's choice of tag sets is the mode."""
     if len(a) == 1 and t in (0, -1):
         m = a[0]
         if t == 0:
@@ -508,8 +465,6 @@ def _classify_surgery(a, t: int, mode: str) -> Verdict:
         )
 
     if t == 0:
-        tags_a = tags_of(a, mode)
-        tags_d = tags_of(d, mode)
         s2 = {"S2a", "S2b", "S2c", "S2d", "S2e"}
         if tags_a & s2:
             fam = sorted(tags_a & s2)[0]
@@ -533,10 +488,51 @@ def _classify_surgery(a, t: int, mode: str) -> Verdict:
         )
 
     if t == -1:
-        return _odd_verdict(a, d, mode)
+        if tags_a & set(S1_TAGS):
+            fam = sorted(tags_a & set(S1_TAGS))[0]
+            return _verdict(BOUNDS, Reason("odd-membership", f"string lies in {fam}"))
+        if tags_d & {"S1b", "S1c", "S1d", "S1e"}:
+            fam = sorted(tags_d & {"S1b", "S1c", "S1d", "S1e"})[0]
+            return _verdict(
+                BOUNDS,
+                Reason("odd-dual-membership", f"cyclic dual {d} lies in {fam}"),
+            )
+        if "S1a" in tags_d:
+            p = isqrt(s1a_square_order(d))  # the half-string numerator
+            if p % 2 == 1:
+                return _verdict(
+                    NOT_BOUNDS,
+                    Reason(
+                        "dual-S1a-odd-order",
+                        f"dual in S1a with odd half-string numerator p = {p}: "
+                        "the correction term of the unique self-conjugate "
+                        "structure is nonzero",
+                    ),
+                )
+            return _verdict(
+                UNKNOWN,
+                Reason(
+                    "dual-S1a-even-order",
+                    f"dual in S1a with even half-string numerator p = {p}; "
+                    "no statement decides this case",
+                ),
+            )
+        obstructed = _obstructed(a, d, "negative_cyclic")
+        if obstructed is not None:
+            return obstructed
+        return _verdict(
+            UNKNOWN,
+            Reason(
+                "odd-embedding-found",
+                "a negative cyclic subset exists although the string is "
+                "outside S1, so the lattice obstruction is silent and no "
+                "construction is known",
+            ),
+        )
     if t == 1:
-        # reversing orientation turns Y(a, 1) into Y(d, -1)
-        v = _classify_surgery(d, -1, mode)
+        # reversing orientation turns Y(a, 1) into Y(d, -1); the dual of
+        # d is a up to rotation and reversal, which tag sets ignore
+        v = _decide(d, cyclic_dual(d), -1, tags_d, tags_a)
         return Verdict(
             v.status,
             (Reason("mirror", f"orientation reversal to Y({d}, -1)"),) + v.reasons,
@@ -545,8 +541,6 @@ def _classify_surgery(a, t: int, mode: str) -> Verdict:
     # |t| >= 2: one-directional rules only.  The intersection form of the
     # bounding handlebody depends only on the parity of t, so exhausted
     # embedding searches obstruct the whole parity class at once.
-    tags_a = tags_of(a, mode)
-    tags_d = tags_of(d, mode)
     if t % 2 == 0:
         if "S2c" in tags_a or "S2c" in tags_d:
             return _verdict(

@@ -68,12 +68,13 @@ def cmd_dual(args, out):
 def cmd_member(args, out):
     a = _string(args.a)
     witnesses = families.member(a, args.mode)
+    tags = {w.tag for w in witnesses}
     _emit(
         {
             "string": chainstring.format_string(a),
             "mode": args.mode,
-            "in_s1": families.in_s1(a, args.mode),
-            "in_s2": families.in_s2(a, args.mode),
+            "in_s1": bool(tags & set(families.S1_TAGS)),
+            "in_s2": bool(tags & set(families.S2_TAGS)),
             "witnesses": [w.to_json() for w in witnesses],
         },
         out,

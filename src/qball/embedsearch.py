@@ -54,8 +54,7 @@ from .families import (
     S1_TAGS,
     S2_TAGS,
     enumerate_strings,
-    member,
-    side_condition_holds,
+    mode_tag_sets,
 )
 from .lattice import INVALID, NEGATIVE, POSITIVE, STANDARD, LatticeSubset, classify_subset
 
@@ -437,11 +436,7 @@ CSV_HEADER = "string,I,s1_strict,s1_relaxed,s2_strict,s2_relaxed,neg,pos,agree,n
 
 def _row_for(args) -> Row:
     a, budget = args
-    # one scan: relaxed witnesses, of which the strict ones meet the
-    # side conditions as written
-    witnesses = member(a, "relaxed")
-    tags_relaxed = {w.tag for w in witnesses}
-    tags_strict = {w.tag for w in witnesses if side_condition_holds(w.tag, w.params, "strict")}
+    tags_strict, tags_relaxed = mode_tag_sets(a)
     neg = find_embedding(a, NEGATIVE, budget)
     pos = find_embedding(a, POSITIVE, budget)
     return Row(

@@ -393,6 +393,15 @@ def tags_of(a, mode: str = "strict") -> set[str]:
     return {w.tag for w in member(a, mode)}
 
 
+def mode_tag_sets(a) -> tuple[set[str], set[str]]:
+    """(strict, relaxed) tag sets of a from one relaxed scan: the strict
+    witnesses are the relaxed ones that meet the side conditions as
+    written."""
+    witnesses = member(a, "relaxed")
+    strict = {w.tag for w in witnesses if side_condition_holds(w.tag, w.params, "strict")}
+    return strict, {w.tag for w in witnesses}
+
+
 def in_family(a, tag: str, mode: str = "strict") -> bool:
     """Membership in one family, scanning with that family's matcher only."""
     if tag not in ALL_TAGS:

@@ -5,7 +5,7 @@ from fractions import Fraction as QQ
 
 import pytest
 
-from qball.chainstring import canonical_form, cyclic_dual
+from qball.chainstring import canonical_form, cyclic_dual, reverse, rotate
 from qball.classifier import (
     BOUNDS,
     NOT_BOUNDS,
@@ -29,7 +29,7 @@ from qball.classifier import (
 )
 from qball.contfrac import homology_order, is_square
 from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, SEARCH, find_embedding
-from qball.families import enumerate_strings, tags_of
+from qball.families import enumerate_strings, mode_tag_sets, tags_of
 from qball.lattice import NEGATIVE, POSITIVE
 from conftest import random_string
 
@@ -307,6 +307,50 @@ def test_strict_mode_boundary_annotation():
     v = classify_surgery((2, 4, 2, 2, 4, 2), -1, "strict")
     assert v.status == UNKNOWN
     assert classify_surgery((2, 4, 2, 2, 4, 2), -1, "relaxed").status == BOUNDS
+
+
+def test_mode_boundary_is_the_relaxed_redecision():
+    # a strict verdict either agrees with the relaxed status and carries
+    # no note, or is Unknown and continues after its note with exactly
+    # the relaxed verdict's reasons
+    boundary = []
+    for a in enumerate_strings(7, 0):
+        for t in range(-3, 4):
+            strict = classify_surgery(a, t, "strict")
+            relaxed = classify_surgery(a, t, "relaxed")
+            rules = [r.rule for r in strict.reasons]
+            if strict.status == relaxed.status:
+                assert "mode-boundary" not in rules, (a, t)
+                continue
+            assert strict.status == UNKNOWN, (a, t)
+            cut = rules.index("mode-boundary")
+            assert strict.reasons[cut + 1 :] == relaxed.reasons, (a, t)
+            boundary.append((a, t))
+    # the two k+l = 2 strings, one of them also through the t = 1 mirror
+    assert sorted(boundary) == [((2, 2, 3, 2, 3), 0), ((2, 2, 4, 2, 2, 4), -1), ((2, 2, 4, 2, 2, 4), 1)]
+
+
+def test_dihedral_invariance_and_mirror_premise():
+    # verdicts and tag sets ignore rotation and reversal, and the cyclic
+    # dual is an involution, which the t = 1 mirror relies on
+    for a in enumerate_strings(7, 0):
+        b = reverse(rotate(a, len(a) // 2))
+        for t in range(-3, 4):
+            va, vb = classify_surgery(a, t), classify_surgery(b, t)
+            assert va.status == vb.status, (a, t)
+            assert [r.rule for r in va.reasons] == [r.rule for r in vb.reasons], (a, t)
+        assert mode_tag_sets(b) == mode_tag_sets(a), a
+        assert cyclic_dual(cyclic_dual(a)) == a, a
+
+
+def test_invalid_mode_rejected_on_every_path():
+    # the all-2 and lens branches answer before any membership scan
+    with pytest.raises(ValueError):
+        classify_surgery((2, 2), 1, "bogus")
+    with pytest.raises(ValueError):
+        classify_surgery((3,), 0, "bogus")
+    with pytest.raises(ValueError):
+        classify_braid_cover((3, 2, 2), 0, "bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from qball.families import (
     in_s1,
     in_s2,
     member,
+    mode_tag_sets,
     palindrome_criterion,
     s2c_halfreverse,
     side_condition_holds,
@@ -262,3 +263,4 @@ def test_one_scan_carries_both_modes():
         for w in relaxed:
             if not side_condition_holds(w.tag, w.params, "strict"):
                 assert w.tag in ("S1d", "S2e") and w.params["k"] + w.params["l"] == 2, (a, w)
+        assert mode_tag_sets(a) == ({w.tag for w in strict}, {w.tag for w in relaxed}), a
