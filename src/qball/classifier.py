@@ -10,9 +10,10 @@ family membership of a and of its cyclic dual d:
 * t = 0:   S2 membership of a or d certifies a ball, and a failed
   positive-side embedding for both refutes one;
 * t = -1:  membership of a in S1 (or d in S1b-S1e) certifies a ball;
-  for d in S1a the parity of the half-string numerator p decides the
-  odd-order case (p odd obstructs, p even stays open); otherwise the
-  negative-side embedding search obstructs or stays silent;
+  for d in S1a the parity of the half-string numerator p, with
+  p^2 = |H1(Y(a, -1))|, decides the odd-order case (p odd obstructs,
+  p even stays open); otherwise the negative-side embedding search
+  obstructs or stays silent;
 * t = +1:  the mirror of t = -1 with a and d exchanged;
 * |t| >= 2: only one-directional rules apply: S2c membership of a or d
   certifies balls for all even t, and a failed embedding search for
@@ -51,8 +52,9 @@ from .chainstring import (
     i_invariant,
     validate_chain,
 )
-from .contfrac import homology_order, is_square, monodromy_matrix, s1a_square_order
-from .families import S1_TAGS, _check_mode, in_family, mode_tag_sets
+from .contfrac import homology_order, is_square, monodromy_matrix
+from .embedsearch import BUDGET_EXCEEDED, find_embedding, gram_order
+from .families import S1_TAGS, S2_TAGS, _check_mode, in_family, mode_tag_sets
 
 BOUNDS = "Bounds"
 NOT_BOUNDS = "NotBounds"
@@ -336,24 +338,18 @@ def classify_torus_bundle(mc: MonodromyClass) -> Verdict:
 
 def _embedding_exists(a, kind) -> bool | None:
     """Memoized existence of a cyclic subset; None if out of budget."""
-    from .embedsearch import BUDGET_EXCEEDED, find_embedding
-
-    result = _embedding_cache.get((a, kind))
+    if len(a) == 1:  # one 2-handle: the prefilter's square test is exact
+        return is_square(gram_order(a, kind))
+    key = (canonical_form(a), kind)
+    result = _embedding_cache.get(key)
     if result is None:
-        got = find_embedding(a, kind, budget=OBSTRUCTION_BUDGET)
+        got = find_embedding(key[0], kind, budget=OBSTRUCTION_BUDGET)
         result = None if got.outcome == BUDGET_EXCEEDED else got.found
-        _embedding_cache[(a, kind)] = result
+        _embedding_cache[key] = result
     return result
 
 
 _embedding_cache: dict = {}
-
-
-def _rank_one_embeds(a1: int, kind) -> bool:
-    # the length-1 handlebody is a single 2-handle of square -(a1 +- 2);
-    # it embeds in a diagonal unimodular lattice iff that is a square
-    offset = 2 if kind == "negative_cyclic" else -2
-    return is_square(a1 + offset)
 
 
 def _obstructed(a, d, kind) -> Verdict | None:
@@ -365,16 +361,8 @@ def _obstructed(a, d, kind) -> Verdict | None:
     an exhausted budget cannot conclude.
     """
     side = "negative" if kind == "negative_cyclic" else "positive"
-    got_a = (
-        _embedding_exists(canonical_form(a), kind)
-        if len(a) >= 2
-        else _rank_one_embeds(a[0], kind)
-    )
-    got_d = (
-        _embedding_exists(canonical_form(d), kind)
-        if len(d) >= 2
-        else _rank_one_embeds(d[0], kind)
-    )
+    got_a = _embedding_exists(a, kind)
+    got_d = _embedding_exists(d, kind)
     if got_a is False and got_d is False:
         return _verdict(
             NOT_BOUNDS,
@@ -465,12 +453,11 @@ def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
         )
 
     if t == 0:
-        s2 = {"S2a", "S2b", "S2c", "S2d", "S2e"}
-        if tags_a & s2:
-            fam = sorted(tags_a & s2)[0]
+        if tags_a.intersection(S2_TAGS):
+            fam = sorted(tags_a.intersection(S2_TAGS))[0]
             return _verdict(BOUNDS, Reason("even-membership", f"string lies in {fam}"))
-        if tags_d & s2:
-            fam = sorted(tags_d & s2)[0]
+        if tags_d.intersection(S2_TAGS):
+            fam = sorted(tags_d.intersection(S2_TAGS))[0]
             return _verdict(
                 BOUNDS, Reason("even-dual-membership", f"cyclic dual {d} lies in {fam}")
             )
@@ -488,17 +475,18 @@ def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
         )
 
     if t == -1:
-        if tags_a & set(S1_TAGS):
-            fam = sorted(tags_a & set(S1_TAGS))[0]
+        if tags_a.intersection(S1_TAGS):
+            fam = sorted(tags_a.intersection(S1_TAGS))[0]
             return _verdict(BOUNDS, Reason("odd-membership", f"string lies in {fam}"))
-        if tags_d & {"S1b", "S1c", "S1d", "S1e"}:
-            fam = sorted(tags_d & {"S1b", "S1c", "S1d", "S1e"})[0]
+        if tags_d.intersection(S1_TAGS) - {"S1a"}:
+            fam = sorted(tags_d.intersection(S1_TAGS) - {"S1a"})[0]
             return _verdict(
                 BOUNDS,
                 Reason("odd-dual-membership", f"cyclic dual {d} lies in {fam}"),
             )
         if "S1a" in tags_d:
-            p = isqrt(s1a_square_order(d))  # the half-string numerator
+            # the half-string numerator: duals share |H1|, which is p^2
+            p = isqrt(homology_order(a, "odd"))
             if p % 2 == 1:
                 return _verdict(
                     NOT_BOUNDS,

@@ -157,24 +157,6 @@ def homology_order(a, parity: str) -> int:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-def s1a_square_order(a) -> int:
-    """Torsion order p^2 for a string in the family S1a.
-
-    Here p is the numerator of the half-string of any S1a decomposition
-    of a; the value does not depend on the decomposition and always
-    agrees with torsion_order(a, -1).
-    """
-    from .families import member
-
-    hits = [w for w in member(a, mode="strict") if w.tag == "S1a"]
-    if not hits:
-        raise ContfracError(f"{tuple(a)} is not in the family S1a")
-    orders = {hj_eval(w.params["b"]).p ** 2 for w in hits}
-    if len(orders) != 1:
-        raise AssertionError(f"S1a witnesses of {tuple(a)} disagree: {orders}")
-    return orders.pop()
-
-
 def is_square(n: int) -> bool:
     """Exact perfect-square test for n >= 0."""
     if n < 0:

@@ -24,10 +24,7 @@ find_embedding and find_standard first apply a determinant certificate:
 n vectors realizing the Gram matrix Q make Q = -A A^T with A the square
 integer matrix of their coordinates, so |det Q| = det(A)^2 is a perfect
 square; when it is not, the answer is Exhausted without a search node.
-|det Q| is read off values computed in O(n): it is tr(M_a) + 2 for the
-negative cyclic kind and tr(M_a) - 2 for the positive one, with M_a the
-monodromy matrix of a (the homology orders of the odd and even
-surgeries), and the continued-fraction numerator of a standard string.
+gram_order() reads |det Q| off values computed in O(n).
 
 The sweep driver verify_classification() runs both cyclic searches for
 every canonical string with an entry >= 3 and I <= 0 up to a given
@@ -56,7 +53,7 @@ from .families import (
     enumerate_strings,
     mode_tag_sets,
 )
-from .lattice import INVALID, NEGATIVE, POSITIVE, STANDARD, LatticeSubset, classify_subset
+from .lattice import NEGATIVE, POSITIVE, STANDARD, LatticeSubset, classify_subset
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -153,16 +150,22 @@ def _target_gram(a, kind: str):
     return targets
 
 
+def gram_order(a, kind: str) -> int:
+    """|det Q| for the Gram matrix Q a subset of this kind must realize:
+    the continued-fraction numerator of a standard string, and for the
+    cyclic kinds tr(M_a) + 2 (negative) or tr(M_a) - 2 (positive), the
+    homology orders of the odd and the even surgeries on a."""
+    if kind == STANDARD:
+        return hj_eval(a).p
+    return monodromy_matrix(a).trace + (2 if kind == NEGATIVE else -2)
+
+
 def _search(a, kind, budget) -> SearchResult:
     """The engine behind a determinant prefilter: a non-square |det Q|
     proves Exhausted before any node is spent."""
     t0 = time.perf_counter()
     if _target_gram(a, kind) is not None:
-        if kind == STANDARD:
-            d = hj_eval(a).p
-        else:
-            d = monodromy_matrix(a).trace + (2 if kind == NEGATIVE else -2)
-        if not is_square(d):
+        if not is_square(gram_order(a, kind)):
             return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
     return _Engine(a, kind, budget).run()
 
@@ -241,7 +244,7 @@ class _Engine:
 
         yield from rec(0, a, [0] * len(vecs))
 
-    def run(self, collect_witness=True):
+    def run(self):
         t0 = time.perf_counter()
         if self.impossible:
             return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0)
@@ -269,17 +272,15 @@ class _Engine:
         elapsed = time.perf_counter() - t0
         if not hit:
             return SearchResult(EXHAUSTED, None, self.nodes, elapsed)
-        witness = None
-        if collect_witness:
-            vectors = tuple(self.witness[i] for i in range(self.n))
-            witness = classify_subset(vectors)
-            want_kind = self.kind
-            expect = canonical_form(self.a) if want_kind != STANDARD else tuple(self.a)
-            if witness.kind != want_kind or witness.string not in (expect, tuple(reversed(expect))):
-                raise AssertionError(
-                    f"witness failed revalidation: {witness.kind} {witness.string} "
-                    f"for query {self.kind} {self.a}"
-                )
+        vectors = tuple(self.witness[i] for i in range(self.n))
+        witness = classify_subset(vectors)
+        want_kind = self.kind
+        expect = canonical_form(self.a) if want_kind != STANDARD else tuple(self.a)
+        if witness.kind != want_kind or witness.string not in (expect, tuple(reversed(expect))):
+            raise AssertionError(
+                f"witness failed revalidation: {witness.kind} {witness.string} "
+                f"for query {self.kind} {self.a}"
+            )
         return SearchResult(FOUND, witness, self.nodes, elapsed)
 
 

@@ -22,6 +22,9 @@ Template shapes (b and c linear-dual, k = len(b), l = len(c)):
     S2e  (2, b_1+1, b_2,...,b_k, 2, c_l,...,c_2, c_1+1, 2)   k+l >= 3
          together with the sporadic member (2, 2, 2, 3)
 
+The exceptional string (6, 2, 2, 2, 6, 2, 2, 2) is a fixed one-string
+template in the matcher table, so its witnesses round-trip like the rest.
+
 When a "+1" decoration hits both ends of a length-one string the two
 bumps stack (k = 1 in S1d reads as b_1+2), and the window (3, 2^[-1], 3)
 appearing in S1e/S2d at x = 0 collapses to the single entry (4).  The
@@ -340,6 +343,11 @@ def _match_s2e(s):
             yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
+def _match_exceptional(s):
+    if s == EXCEPTIONAL:
+        yield {}
+
+
 _MATCHERS = {
     "S1a": lambda s: _match_s1abc(s, 2, 2),
     "S1b": lambda s: _match_s1abc(s, 2, 5),
@@ -351,6 +359,7 @@ _MATCHERS = {
     "S2c": _match_s2c,
     "S2d": lambda s: _match_fixed_x("S2d", s),
     "S2e": _match_s2e,
+    EXCEPTIONAL_TAG: _match_exceptional,
 }
 
 
@@ -379,14 +388,8 @@ def member(a, mode: str = "strict") -> list[Witness]:
     a = validate_chain(a)
     _check_mode(mode)
     out = list(_scan(a, _MATCHERS, mode))
-    if equivalent_to_exceptional(a):
-        out.append(Witness(EXCEPTIONAL_TAG, 0, False, {}))
     out.sort(key=lambda w: (w.tag, w.rotation, w.reversed))
     return out
-
-
-def equivalent_to_exceptional(a) -> bool:
-    return canonical_form(a) == canonical_form(EXCEPTIONAL)
 
 
 def tags_of(a, mode: str = "strict") -> set[str]:
@@ -408,8 +411,6 @@ def in_family(a, tag: str, mode: str = "strict") -> bool:
         raise ValueError(f"unknown family tag {tag!r}")
     a = validate_chain(a)
     _check_mode(mode)
-    if tag == EXCEPTIONAL_TAG:
-        return equivalent_to_exceptional(a)
     return any(_scan(a, (tag,), mode))
 
 

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from qball.contfrac import ContfracError, hj_eval
+from qball.families import member
+
 
 @pytest.fixture
 def rng():
@@ -36,3 +39,19 @@ def assert_negative_cyclic_witness(a, vectors):
                 want = 0
             got = -sum(x * y for x, y in zip(vectors[i], vectors[j]))
             assert got == want, (a, i, j, got, want)
+
+
+def s1a_square_order(a) -> int:
+    """Torsion order p^2 for a string in the family S1a.
+
+    Here p is the numerator of the half-string of any S1a decomposition
+    of a; the value does not depend on the decomposition and always
+    agrees with torsion_order(a, -1).
+    """
+    hits = [w for w in member(a, mode="strict") if w.tag == "S1a"]
+    if not hits:
+        raise ContfracError(f"{tuple(a)} is not in the family S1a")
+    orders = {hj_eval(w.params["b"]).p ** 2 for w in hits}
+    if len(orders) != 1:
+        raise AssertionError(f"S1a witnesses of {tuple(a)} disagree: {orders}")
+    return orders.pop()

@@ -38,7 +38,6 @@ from qball.contfrac import (
     homology_order,
     is_square,
     monodromy_matrix,
-    s1a_square_order,
     torsion_order,
 )
 from qball.embedsearch import (
@@ -73,7 +72,7 @@ from qball.lattice import (
     random_expansion,
     subset_i_invariant,
 )
-from conftest import assert_negative_cyclic_witness, random_string
+from conftest import assert_negative_cyclic_witness, random_string, s1a_square_order
 
 
 def report(num, text):

@@ -1,7 +1,9 @@
 """Bounding verdicts, monodromy normal forms, and the 3-braid view."""
 
 import random
+import re
 from fractions import Fraction as QQ
+from math import isqrt
 
 import pytest
 
@@ -25,13 +27,12 @@ from qball.classifier import (
     normalize_monodromy,
     reduced_floer_rank,
     string_matrix,
-    _rank_one_embeds,
 )
 from qball.contfrac import homology_order, is_square
-from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, SEARCH, find_embedding
+from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, SEARCH, find_embedding, gram_order
 from qball.families import enumerate_strings, mode_tag_sets, tags_of
 from qball.lattice import NEGATIVE, POSITIVE
-from conftest import random_string
+from conftest import random_string, s1a_square_order
 
 _ID = ((1, 0), (0, 1))
 
@@ -227,6 +228,29 @@ def test_dual_s1a_parity_obstruction():
     assert any(r.rule == "lens" for r in v.reasons)
 
 
+def test_dual_s1a_numerator_matches_witness_oracle():
+    # the classifier reads p off |H1|; the oracle reads it off the S1a
+    # witness of the S1a string: d at t = -1, the string itself at the
+    # t = 1 mirror (whose dual's dual is the string up to symmetry)
+    verdicts = odd = 0
+    for a in enumerate_strings(9, 0):
+        d = cyclic_dual(a)
+        tags = {a: tags_of(a), d: tags_of(d)}
+        for x, y in ((a, d), (d, a)):
+            for t, s1a_string in ((-1, y), (1, x)):
+                if "S1a" not in tags[s1a_string]:
+                    continue
+                for r in classify_surgery(x, t).reasons:
+                    if not r.rule.startswith("dual-S1a-"):
+                        continue
+                    p = int(re.search(r"p = (\d+)", r.detail).group(1))
+                    assert p == isqrt(s1a_square_order(s1a_string)), (x, t)
+                    assert (r.rule == "dual-S1a-odd-order") == (p % 2 == 1), (x, t)
+                    verdicts += 1
+                    odd += p % 2
+    assert (verdicts, odd) == (42, 26)
+
+
 def test_theorem_gap_strings_stay_unknown_on_odd_side():
     for a in [(3, 3, 3, 3, 3, 3), (2, 4, 2, 4, 2, 4, 2, 4), (6, 2, 2, 2, 6, 2, 2, 2)]:
         v = classify_surgery(a, -1)
@@ -272,11 +296,11 @@ def test_square_order_obstruction():
     assert (got.outcome, got.certificate, got.nodes) == (EXHAUSTED, DET_NONSQUARE, 0)
     assert homology_order((2, 2, 2, 3, 2), "odd") == 9
     assert find_embedding((2, 2, 2, 3, 2), NEGATIVE).certificate == SEARCH
-    # length 1 is outside the search; the classifier's rank-one rule
-    # makes the same square test on the order a1 - 2 = 1
+    # length 1 is outside the search; the classifier makes the same
+    # square test on the order a1 - 2 = 1
     with pytest.raises(ValueError):
         find_embedding((3,), POSITIVE)
-    assert _rank_one_embeds(3, POSITIVE)
+    assert gram_order((3,), POSITIVE) == 1
 
 
 def test_bounds_orders_are_square():

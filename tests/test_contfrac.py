@@ -21,9 +21,9 @@ from qball.contfrac import (
     homology_order,
     is_square,
     monodromy_matrix,
-    s1a_square_order,
     torsion_order,
 )
+from conftest import s1a_square_order
 
 
 def oracle_eval(entries):

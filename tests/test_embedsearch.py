@@ -21,6 +21,7 @@ from qball.embedsearch import (
     _target_gram,
     find_embedding,
     find_standard,
+    gram_order,
     naive_find,
     sweep_strings,
     verify_classification,
@@ -260,13 +261,16 @@ def _gram_order(a, kind):
 def test_gram_determinant_is_homology_order():
     # |det Q| of the searched Gram matrix is the odd-twist order for the
     # negative kind, the even-twist order for the positive kind, and the
-    # continued-fraction numerator for a standard (linear) string
+    # continued-fraction numerator for a standard (linear) string; the
+    # prefilter's gram_order reads the same values
     strings = list(sweep_strings(7))
     assert len(strings) == 444
     for a in strings:
         assert _gram_order(a, NEGATIVE) == homology_order(a, "odd"), a
         assert _gram_order(a, POSITIVE) == homology_order(a, "even"), a
         assert _gram_order(a, STANDARD) == hj_eval(a).p, a
+        for kind in (NEGATIVE, POSITIVE, STANDARD):
+            assert gram_order(a, kind) == _gram_order(a, kind), (a, kind)
 
 
 def test_prefilter_agrees_with_raw_search():
