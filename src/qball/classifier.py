@@ -161,14 +161,6 @@ _ELLIPTIC_WORDS = {
 }
 
 
-def _floor_quad(p: int, q: int, d: int) -> int:
-    """floor((p + sqrt(d)) / q) for nonsquare d > 0, any q != 0."""
-    f = isqrt(d)
-    if q > 0:
-        return (p + f) // q
-    return -((p + f) // (-q)) - 1
-
-
 class NormalFormNotFound(ClassifierError):
     pass
 
@@ -177,10 +169,12 @@ def normalize_monodromy(m) -> MonodromyClass:
     """Classify a determinant-1 integer matrix up to conjugation.
 
     Elliptic and parabolic classes are recognized directly; a hyperbolic
-    matrix is reduced along the continued-fraction expansion of its
-    attracting fixed point until the expansion cycles, which exhibits an
-    explicit conjugator onto a power of the block product for the cycle
-    word.  The conjugation is certified by exact matrix equality.
+    matrix is reduced along the minus continued fraction of its repelling
+    fixed point until the expansion cycles, which exhibits an explicit
+    conjugator onto a power of the block product for the cycle word.  A
+    run of 2s in the expansion is one step, so the walk takes a number of
+    steps logarithmic in the matrix entries and needs no step cap.  The
+    conjugation is certified by exact matrix equality.
     """
     m = ((int(m[0][0]), int(m[0][1])), (int(m[1][0]), int(m[1][1])))
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -220,10 +214,8 @@ def _normalize_elliptic(m) -> Elliptic:
     # attached to the fixed point; conjugation acts on the form by a
     # determinant-1 change of variable, which preserves that sign.
     tr = m[0][0] + m[1][1]
-    c = m[1][0]
-    if c == 0:
-        raise NormalFormNotFound(f"trace {tr} matrix with c = 0 cannot be elliptic")
-    negative_form = c < 0
+    # c != 0: with determinant 1, c = 0 would force a = d = +-1, trace +-2
+    negative_form = m[1][0] < 0
     word = {
         (0, True): "S",
         (0, False): "-S",
@@ -252,36 +244,52 @@ def _hyperbolic_cycle(m):
     """Cycle of the repelling fixed point's expansion, with conjugator.
 
     The expansion step x -> 1/(digit - x) conjugates the matrix by
-    S*T^-digit; once the exact state (p, q) of the quadratic irrational
-    (p + sqrt(disc))/q repeats, the digits in between form the cycle
-    word w and the composed conjugator C satisfies
-    C m C^-1 = string_matrix(w)^k.  Returns (w, C).
+    S*T^-digit.  The digit is 2 exactly when 1 < x < 2, and then
+    y = 1/(x - 1) steps to y - 1, so a run of floor(y) 2s is taken in one
+    step, conjugating by (S*T^-2)^k = [[1-k, k], [-k, 1+k]].  The steps
+    therefore follow the ordinary continued fraction of the fixed point,
+    logarithmic in the entries, and reduction theory makes the walk
+    cycle without a cap.  States x = (p + sqrt(disc))/q are recorded only
+    before a digit >= 3, which every period has; once one repeats, the
+    digits since its first visit form the cycle word w and the composed
+    conjugator C satisfies C m C^-1 = string_matrix(w)^k.  Returns (w, C).
     """
-    a, b, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-    if c == 0:
-        raise NormalFormNotFound(f"trace {a + d} matrix with c = 0 cannot be hyperbolic")
+    a, c, d = m[0][0], m[1][0], m[1][1]
+    # c != 0: with determinant 1, c = 0 would force a = d = +-1, trace +-2
     disc = (a + d) ** 2 - 4
+    f = isqrt(disc)
     p, q = d - a, -2 * c  # the repelling root ((a-d) - sqrt(disc))/(2c)
-    states = {}
-    digits = []
-    for step in range(100000):
-        key = (p, q)
-        if key in states:
-            start = states[key]
-            word = tuple(digits[start:])
-            # conjugator: undo the final S, then the preperiod steps
-            pre = _ID
-            for x in digits[:start]:
-                pre = _mat_mul(_mat_mul(_S, _t_pow(-x)), pre)
-            s_inv = ((0, -1), (1, 0))
-            return word, _mat_mul(s_inv, pre)
-        states[key] = step
-        digit = _floor_quad(p, q, disc) + 1  # ceil; the value is irrational
-        digits.append(digit)
+    seen = {}  # state -> (index into runs, conjugator so far)
+    runs = []  # (digit, count)
+    conj = _ID
+    while True:
+        # floor((p + sqrt(disc))/q) is (p + f)//q for q > 0, (p + f + 1)//q
+        # for q < 0, as sqrt(disc) lies strictly between f and f + 1
+        floor_x = (p + f + (q < 0)) // q
+        if floor_x == 1:
+            # y = 1/(x - 1) = (py + sqrt(disc))/qy; the division is exact
+            # because q divides p^2 - disc
+            py, qy = q - p, (disc - (p - q) ** 2) // q
+            k = (py + f + (qy < 0)) // qy
+            # x after the run is 1 + 1/(y - k) > 2, with y - k = (r + sqrt(disc))/qy
+            r = py - k * qy
+            q = (disc - r * r) // qy
+            p = q - r
+            runs.append((2, k))
+            conj = _mat_mul(((1 - k, k), (-k, 1 + k)), conj)
+            continue
+        if floor_x >= 2:
+            if (p, q) in seen:
+                start, pre = seen[p, q]
+                word = tuple(x for x, n in runs[start:] for _ in range(n))
+                # undo the final S
+                return word, _mat_mul(((0, -1), (1, 0)), pre)
+            seen[p, q] = (len(runs), conj)
+        digit = floor_x + 1  # ceil; the value is irrational
+        runs.append((digit, 1))
+        conj = _mat_mul(_mat_mul(_S, _t_pow(-digit)), conj)
         p2 = digit * q - p
-        q2 = (p2 * p2 - disc) // q
-        p, q = p2, q2
-    raise NormalFormNotFound("fixed-point expansion did not cycle")
+        p, q = p2, (p2 * p2 - disc) // q
 
 
 # ---------------------------------------------------------------------------

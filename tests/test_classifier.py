@@ -1,5 +1,6 @@
 """Bounding verdicts, monodromy normal forms, and the 3-braid view."""
 
+import math
 import random
 import re
 from fractions import Fraction as QQ
@@ -24,6 +25,7 @@ from qball.classifier import (
     classify_torus_bundle,
     correction_term,
     grading_shift,
+    _hyperbolic_cycle,
     normalize_monodromy,
     reduced_floer_rank,
     string_matrix,
@@ -32,7 +34,7 @@ from qball.contfrac import homology_order, is_square
 from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, SEARCH, find_embedding, gram_order
 from qball.families import enumerate_strings, mode_tag_sets, tags_of
 from qball.lattice import NEGATIVE, POSITIVE
-from conftest import random_string, s1a_square_order
+from conftest import hyperbolic_cycle_digitwise, random_string, s1a_square_order
 
 _ID = ((1, 0), (0, 1))
 
@@ -133,6 +135,68 @@ def test_normalize_high_powers():
                 assert got == Hyperbolic(sign, canonical_form(base * p)), (base, p, sign)
 
 
+def exponent_conjugator(rng, max_exp, length=6):
+    """A random word of up to `length` letters S and T^e, with |e| on a
+    quarter-decade grid up to max_exp."""
+    steps = round(4 * math.log10(max_exp))
+    s = ((0, 1), (-1, 0))
+    m = _ID
+    for _ in range(rng.randrange(0, length + 1)):
+        if rng.random() < 0.5:
+            m = mat_mul(m, s)
+        else:
+            e = rng.choice([1, -1]) * round(10 ** (rng.randrange(steps + 1) / 4))
+            m = mat_mul(m, ((1, e), (0, 1)))
+    return m
+
+
+def certified_power(conj, m, word):
+    """The k >= 1 with conj m conj^-1 = string_matrix(word)^k, or None."""
+    got = conjugate(m, conj)
+    base = string_matrix(word)
+    acc, k = base, 1
+    while acc != got:
+        if acc[0][0] + acc[1][1] > got[0][0] + got[1][1]:
+            return None
+        acc, k = mat_mul(acc, base), k + 1
+    return k
+
+
+def test_run_walk_agrees_with_digitwise_walk():
+    # taking each run of 2s in one step must give the cycle and a valid
+    # conjugator wherever the one-digit-per-step oracle still runs
+    rng = random.Random(16)
+    for _ in range(300):
+        a = random_string(rng, max_len=6, max_entry=7)
+        p = rng.randrange(1, 6)
+        sign = rng.choice([1, -1])
+        mm = conjugate(string_matrix(a * p), exponent_conjugator(rng, 10**3))
+        m = mm if sign > 0 else mat_neg(mm)
+        word, conj = _hyperbolic_cycle(mm)
+        slow_word, slow_conj = hyperbolic_cycle_digitwise(mm)
+        assert canonical_form(word) == canonical_form(slow_word), (a, p, m)
+        assert certified_power(conj, mm, word) is not None, (a, p, m)
+        assert certified_power(slow_conj, mm, slow_word) is not None, (a, p, m)
+        assert normalize_monodromy(m) == Hyperbolic(sign, canonical_form(a * p))
+
+
+def test_normalize_huge_conjugator_exponents():
+    # no step cap: the walk grows with the logarithm of the entries, so
+    # exponents far past the digitwise walk's reach still normalize
+    rng = random.Random(6)
+    for _ in range(300):
+        a = random_string(rng, max_len=8, max_entry=7)
+        p = rng.randrange(1, 31)
+        sign = rng.choice([1, -1])
+        m = string_matrix(a * p)
+        m = conjugate(m if sign > 0 else mat_neg(m), exponent_conjugator(rng, 10**6))
+        assert normalize_monodromy(m) == Hyperbolic(sign, canonical_form(a * p)), (a, p, m)
+    for e in (10**40, -(10**40)):
+        c = ((1, 0), (e, 1))
+        m = conjugate(string_matrix((5, 3, 2, 2, 3)), c)
+        assert normalize_monodromy(m) == Hyperbolic(1, canonical_form((5, 3, 2, 2, 3)))
+
+
 def test_string_matrix_is_block_product():
     # string_matrix is the product T^-a_n S ... T^-a_1 S of its docstring
     for a in enumerate_strings(5, 2):
@@ -148,8 +212,7 @@ def test_normalize_elliptic_parabolic_conjugates(rng):
     for word, m in _ELLIPTIC_WORDS.items():
         for _ in range(40):
             mm = conjugate(m, random_conjugator(rng))
-            if mm[1][0] == 0:
-                continue
+            assert mm[1][0] != 0  # det 1 and |trace| < 2 rule out c = 0
             assert normalize_monodromy(mm) == Elliptic(word), (word, mm)
     for n in range(-5, 6):
         for sign in (1, -1):

@@ -51,6 +51,14 @@ def test_classify_bundle():
     assert lines(out)[0]["status"] == "Bounds"  # negative parabolic
 
 
+def test_classify_bundle_large_negative_entries():
+    # string_matrix((3, 2)) conjugated by [[1, 0], [10^6, 1]]; negative
+    # entries need the --matrix=... form, or argparse reads an option
+    code, out = invoke("classify", "bundle", "--matrix=-1999995,2,-1999994000003,1999999")
+    assert code == 0
+    assert lines(out)[0]["class"] == "Hyperbolic(sign=1, string=(2, 3))"
+
+
 def test_classify_braid():
     code, out = invoke("classify", "braid", "--a", "3", "--t", "0")
     assert code == 0
