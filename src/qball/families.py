@@ -35,9 +35,25 @@ The side conditions k+l >= 3 on S1d and S2e exclude two strings whose
 surgeries behave exactly like the rest of the family, so deciders take
 a mode: "strict" enforces the conditions as written, "relaxed" lowers
 S1d and S2e to k+l >= 2.  Everything else is mode-independent.  The
-matchers ignore the mode and yield every split; a mode only filters the
-witnesses of one scan through side_condition_holds, so the relaxed
-witnesses of a string carry its strict ones too.
+matchers ignore the mode and yield every match whatever its k+l; a mode
+only filters the witnesses of one scan through side_condition_holds, so
+the relaxed witnesses of a string carry its strict ones too.
+
+Two facts about linear-dual pairs keep the scan quadratic in the length.
+For such a pair (b, c), Riemenschneider's point diagram gives
+len(c) = 1 + sum(b_i - 2) and len(b) = 1 + sum(c_i - 2).  So
+sum(b_i - 3) + sum(c_i - 3) = -2, and every member of a family has one
+fixed I = sum(a_i - 3):
+
+    S1a -4    S2e -3 (the sporadic (2, 2, 2, 3) too)    S1c, S1d -2
+    S1b, S1e, S2d -1    S2a, S2b, S2c and the exceptional string 0
+
+I is invariant under rotation and reversal, so a scan runs only the
+matchers whose I equals I(a), and a string with I outside -4..0 needs no
+matcher at all.  Inside a matcher, the length rule pins the split: with
+the b part starting at s[lo], the rule reads
+k + sum(s_i - 2 for lo <= i < lo + k) = const, and the left side grows
+strictly with k, so at most one k per rotation reaches linear_dual.
 """
 
 from __future__ import annotations
@@ -49,6 +65,7 @@ from .chainstring import (
     canonical_form,
     cyclic_blocks,
     dual_tail_coeffs,
+    i_invariant,
     is_palindrome,
     linear_dual,
     reverse,
@@ -67,6 +84,21 @@ MODES = ("strict", "relaxed")
 # the least k+l = len(b) + len(c) each template admits as written;
 # relaxed mode lowers S1d and S2e to 2
 _MIN_KL = {"S1a": 3, "S1b": 2, "S1c": 2, "S1d": 3, "S2a": 1, "S2b": 2, "S2e": 3}
+
+# I(a) = sum(a_i - 3) of every member of each family (module docstring)
+_I_BY_TAG = {
+    "S1a": -4,
+    "S1b": -1,
+    "S1c": -2,
+    "S1d": -2,
+    "S1e": -1,
+    "S2a": 0,
+    "S2b": 0,
+    "S2c": 0,
+    "S2d": -1,
+    "S2e": -3,
+    EXCEPTIONAL_TAG: 0,
+}
 
 
 def _check_mode(mode: str) -> str:
@@ -189,26 +221,35 @@ def assemble(tag: str, params: dict) -> tuple[int, ...]:
 # scan happens in _scan().
 
 
-def _is_dual_pair(b, c) -> bool:
-    if b == (1,):
-        return c == ()
-    if not b or min(b) < 2:
-        return False
-    return linear_dual(b) == tuple(c)
+def _dual_split(s, lo: int, target: int) -> int:
+    """The one k >= 1 with k + sum(s_i - 2 for lo <= i < lo + k) == target,
+    or 0 if none.
+
+    This is each split template's form of len(c) = 1 + sum(b_i - 2).
+    Entries are >= 2, so the left side grows by at least 1 per step: at
+    most one k qualifies, and the walk reads at most target entries from
+    s[lo].
+    """
+    total = 0
+    for k in range(1, target + 1):
+        total += s[lo + k - 1] - 1
+        if total >= target:
+            return k if total == target else 0
+    return 0
 
 
 def _match_s1abc(s, mid: int, last: int):
-    # s = b + (mid,) + reverse(c) + (last,), over all splits
+    # s = b + (mid,) + reverse(c) + (last,); len(c) = n - 2 - k
     n = len(s)
     if s[n - 1] != last:
         return
-    for k in range(1, n - 2):
-        if s[k] != mid:
-            continue
-        b = s[:k]
-        c = reverse(s[k + 1 : n - 1])
-        if min(b) >= 2 and (not c or min(c) >= 2) and _is_dual_pair(b, c):
-            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+    k = _dual_split(s, 0, n - 3)
+    if not k or s[k] != mid:
+        return
+    b = s[:k]
+    c = reverse(s[k + 1 : n - 1])
+    if linear_dual(b) == c:
+        yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
 def _unbump_both_ends(part):
@@ -221,21 +262,20 @@ def _unbump_both_ends(part):
 
 
 def _match_s1d(s):
+    # s = (2,) + bumped b + (2, 2) + reversed bumped c + (2,), where the
+    # bumps add 2 to sum(b_i - 2); len(c) = n - 4 - k
     n = len(s)
     if n < 6 or s[0] != 2 or s[n - 1] != 2:
         return
-    for k in range(1, n - 4):
-        if s[k + 1] != 2 or s[k + 2] != 2:
-            continue
-        b = _unbump_both_ends(s[1 : k + 1])
-        cpart = s[k + 3 : n - 1]
-        if b is None or not cpart:
-            continue
-        c = _unbump_both_ends(reverse(cpart))
-        if c is None:
-            continue
-        if _is_dual_pair(b, c):
-            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+    k = _dual_split(s, 1, n - 3)
+    if not k or k > n - 5 or s[k + 1] != 2 or s[k + 2] != 2:
+        return
+    b = _unbump_both_ends(s[1 : k + 1])
+    if b is None:
+        return
+    c = _unbump_both_ends(reverse(s[k + 3 : n - 1]))
+    if c is not None and linear_dual(b) == c:
+        yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
 def _match_fixed_x(tag, s):
@@ -251,43 +291,42 @@ def _match_fixed_x(tag, s):
 
 
 def _match_s2a(s):
+    # s = (b_1 + 3,) + b[1:] + (2,) + reverse(c); len(c) = n - 1 - k
     n = len(s)
     if s[0] < 5:
         # b_1 + 3 with b_1 >= 2 needs s[0] >= 5, except the b = (1) case
         if s == (4, 2):
             yield {"b": (1,), "c": (), "k": 1, "l": 0}
         return
-    for k in range(1, n):
-        if s[k] != 2:
-            continue
-        b = (s[0] - 3,) + s[1:k]
-        c = reverse(s[k + 1 :])
-        if min(b) >= 2 and (not c or min(c) >= 2) and _is_dual_pair(b, c):
-            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+    # s[0] >= 5 adds at least 3 to the sum, so k <= n - 2 and s[k] exists
+    k = _dual_split(s, 0, n + 1)
+    if not k or s[k] != 2:
+        return
+    b = (s[0] - 3,) + s[1:k]
+    c = reverse(s[k + 1 :])
+    if linear_dual(b) == c:
+        yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
 def _match_s2b(s):
+    # s = (3 + x,) + b with b_k + 1 + (2,) * x + reverse(c) with c_1 + 1;
+    # len(c) = n - 1 - k - x
     n = len(s)
     x = s[0] - 3
     if x < 0:
         return
-    for k in range(1, n):
-        run_end = 1 + k + x
-        if run_end >= n:
-            break
-        if any(v != 2 for v in s[1 + k : run_end]):
-            continue
-        head = s[1 : 1 + k]
-        if head[-1] < 3:
-            continue
-        b = head[:-1] + (head[-1] - 1,)
-        tail = s[run_end:]
-        if tail[0] < 3:
-            continue
-        cpart = (tail[0] - 1,) + tail[1:]
-        c = reverse(cpart)
-        if min(b) >= 2 and min(c) >= 2 and _is_dual_pair(b, c):
-            yield {"b": b, "c": c, "x": x, "k": len(b), "l": len(c)}
+    k = _dual_split(s, 1, n - 1 - x)
+    run_end = 1 + k + x
+    if not k or run_end >= n or any(v != 2 for v in s[1 + k : run_end]):
+        return
+    head = s[1 : 1 + k]
+    tail = s[run_end:]
+    if head[-1] < 3 or tail[0] < 3:
+        return
+    b = head[:-1] + (head[-1] - 1,)
+    c = reverse((tail[0] - 1,) + tail[1:])
+    if linear_dual(b) == c:
+        yield {"b": b, "c": c, "x": x, "k": len(b), "l": len(c)}
 
 
 def _match_s2c(s):
@@ -322,25 +361,20 @@ def _match_s2c(s):
 
 
 def _match_s2e(s):
+    # s = (2, b_1 + 1) + b[1:] + (2,) + reverse(c) with c_1 + 1 + (2,);
+    # len(c) = n - 3 - k
     if s == (2, 2, 2, 3):
         yield {"sporadic": True}
     n = len(s)
     if n < 5 or s[0] != 2 or s[n - 1] != 2:
         return
-    for k in range(1, n - 3):
-        if s[k + 1] != 2:
-            continue
-        head = s[1 : k + 1]
-        if head[0] < 3:
-            continue
-        b = (head[0] - 1,) + head[1:]
-        tail = s[k + 2 : n - 1]
-        if not tail or tail[-1] < 3:
-            continue
-        cpart = tail[:-1] + (tail[-1] - 1,)
-        c = reverse(cpart)
-        if min(b) >= 2 and min(c) >= 2 and _is_dual_pair(b, c):
-            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+    k = _dual_split(s, 1, n - 3)
+    if not k or k > n - 4 or s[k + 1] != 2 or s[1] < 3 or s[n - 2] < 3:
+        return
+    b = (s[1] - 1,) + s[2 : k + 1]
+    c = reverse(s[k + 2 : n - 2] + (s[n - 2] - 1,))
+    if linear_dual(b) == c:
+        yield {"b": b, "c": c, "k": len(b), "l": len(c)}
 
 
 def _match_exceptional(s):
@@ -364,18 +398,26 @@ _MATCHERS = {
 
 
 def _scan(a, tags, mode):
-    """Distinct witnesses of the given template tags over the dihedral
-    orbit of a that meet the side condition of mode, in scan order."""
-    seen = set()
+    """Witnesses of the given template tags over the dihedral orbit of a
+    that meet the side condition of mode, in scan order.
+
+    Every member of a family has the I of _I_BY_TAG, so only the tags
+    whose I equals I(a) are run, and a string that no tag admits costs
+    O(n).  A split matcher tries only the one split that meets
+    len(c) = 1 + sum(b_i - 2), so a scan is O(n^2); each (rotation,
+    reflection, tag) yields at most one witness.
+    """
+    i = i_invariant(a)
+    tags = [tag for tag in tags if _I_BY_TAG[tag] == i]
+    if not tags:
+        return
     for flipped in (False, True):
         base = reverse(a) if flipped else a
         for k in range(len(a)):
             s = rotate(base, k)
             for tag in tags:
                 for params in _MATCHERS[tag](s):
-                    key = (tag, k, flipped, repr(sorted(params.items())))
-                    if key not in seen and side_condition_holds(tag, params, mode):
-                        seen.add(key)
+                    if side_condition_holds(tag, params, mode):
                         yield Witness(tag, k, flipped, params)
 
 

@@ -3,9 +3,10 @@ from math import isqrt
 
 import pytest
 
+from qball.chainstring import linear_dual, reverse, rotate
 from qball.classifier import _ID, _S, NormalFormNotFound, _mat_mul, _t_pow
 from qball.contfrac import ContfracError, hj_eval
-from qball.families import member
+from qball.families import _MATCHERS, Witness, _unbump_both_ends, member, side_condition_holds
 
 
 @pytest.fixture
@@ -104,3 +105,142 @@ def hyperbolic_cycle_digitwise(m):
         q2 = (p2 * p2 - disc) // q
         p, q = p2, q2
     raise NormalFormNotFound("fixed-point expansion did not cycle")
+
+
+# ---------------------------------------------------------------------------
+# the raw membership scan: every matcher on every rotation, every split
+# tried with linear_dual; the oracle for families.member's I gate and
+# split-length test
+
+
+def _is_dual_pair(b, c) -> bool:
+    if b == (1,):
+        return c == ()
+    if not b or min(b) < 2:
+        return False
+    return linear_dual(b) == tuple(c)
+
+
+def _raw_match_s1abc(s, mid: int, last: int):
+    # s = b + (mid,) + reverse(c) + (last,), over all splits
+    n = len(s)
+    if s[n - 1] != last:
+        return
+    for k in range(1, n - 2):
+        if s[k] != mid:
+            continue
+        b = s[:k]
+        c = reverse(s[k + 1 : n - 1])
+        if min(b) >= 2 and (not c or min(c) >= 2) and _is_dual_pair(b, c):
+            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+
+
+def _raw_match_s1d(s):
+    n = len(s)
+    if n < 6 or s[0] != 2 or s[n - 1] != 2:
+        return
+    for k in range(1, n - 4):
+        if s[k + 1] != 2 or s[k + 2] != 2:
+            continue
+        b = _unbump_both_ends(s[1 : k + 1])
+        cpart = s[k + 3 : n - 1]
+        if b is None or not cpart:
+            continue
+        c = _unbump_both_ends(reverse(cpart))
+        if c is None:
+            continue
+        if _is_dual_pair(b, c):
+            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+
+
+def _raw_match_s2a(s):
+    n = len(s)
+    if s[0] < 5:
+        # b_1 + 3 with b_1 >= 2 needs s[0] >= 5, except the b = (1) case
+        if s == (4, 2):
+            yield {"b": (1,), "c": (), "k": 1, "l": 0}
+        return
+    for k in range(1, n):
+        if s[k] != 2:
+            continue
+        b = (s[0] - 3,) + s[1:k]
+        c = reverse(s[k + 1 :])
+        if min(b) >= 2 and (not c or min(c) >= 2) and _is_dual_pair(b, c):
+            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+
+
+def _raw_match_s2b(s):
+    n = len(s)
+    x = s[0] - 3
+    if x < 0:
+        return
+    for k in range(1, n):
+        run_end = 1 + k + x
+        if run_end >= n:
+            break
+        if any(v != 2 for v in s[1 + k : run_end]):
+            continue
+        head = s[1 : 1 + k]
+        if head[-1] < 3:
+            continue
+        b = head[:-1] + (head[-1] - 1,)
+        tail = s[run_end:]
+        if tail[0] < 3:
+            continue
+        cpart = (tail[0] - 1,) + tail[1:]
+        c = reverse(cpart)
+        if min(b) >= 2 and min(c) >= 2 and _is_dual_pair(b, c):
+            yield {"b": b, "c": c, "x": x, "k": len(b), "l": len(c)}
+
+
+def _raw_match_s2e(s):
+    if s == (2, 2, 2, 3):
+        yield {"sporadic": True}
+    n = len(s)
+    if n < 5 or s[0] != 2 or s[n - 1] != 2:
+        return
+    for k in range(1, n - 3):
+        if s[k + 1] != 2:
+            continue
+        head = s[1 : k + 1]
+        if head[0] < 3:
+            continue
+        b = (head[0] - 1,) + head[1:]
+        tail = s[k + 2 : n - 1]
+        if not tail or tail[-1] < 3:
+            continue
+        cpart = tail[:-1] + (tail[-1] - 1,)
+        c = reverse(cpart)
+        if min(b) >= 2 and min(c) >= 2 and _is_dual_pair(b, c):
+            yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+
+
+_RAW_MATCHERS = {
+    **_MATCHERS,
+    "S1a": lambda s: _raw_match_s1abc(s, 2, 2),
+    "S1b": lambda s: _raw_match_s1abc(s, 2, 5),
+    "S1c": lambda s: _raw_match_s1abc(s, 3, 3),
+    "S1d": _raw_match_s1d,
+    "S2a": _raw_match_s2a,
+    "S2b": _raw_match_s2b,
+    "S2e": _raw_match_s2e,
+}
+
+
+def member_raw(a, mode: str) -> list:
+    """families.member without the I gate or the split-length test."""
+    a = tuple(a)
+    seen = set()
+    out = []
+    for flipped in (False, True):
+        base = reverse(a) if flipped else a
+        for k in range(len(a)):
+            s = rotate(base, k)
+            for tag in _RAW_MATCHERS:
+                for params in _RAW_MATCHERS[tag](s):
+                    key = (tag, k, flipped, repr(sorted(params.items())))
+                    if key not in seen and side_condition_holds(tag, params, mode):
+                        seen.add(key)
+                        out.append(Witness(tag, k, flipped, params))
+    out.sort(key=lambda w: (w.tag, w.rotation, w.reversed))
+    return out

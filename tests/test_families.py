@@ -3,17 +3,23 @@
 import itertools
 
 import pytest
+from conftest import member_raw
 
+from qball import families
 from qball.chainstring import (
     canonical_form,
+    cyclic_dual,
     i_invariant,
     linear_dual,
     reverse,
     rotate,
 )
 from qball.families import (
+    _I_BY_TAG,
+    _MATCHERS,
     ALL_TAGS,
     EXCEPTIONAL,
+    MODES,
     S1_TAGS,
     S2_TAGS,
     assemble,
@@ -265,3 +271,52 @@ def test_one_scan_carries_both_modes():
             if not side_condition_holds(w.tag, w.params, "strict"):
                 assert w.tag in ("S1d", "S2e") and w.params["k"] + w.params["l"] == 2, (a, w)
         assert mode_tag_sets(a) == ({w.tag for w in strict}, {w.tag for w in relaxed}), a
+
+
+def test_i_table_matches_family_members():
+    # the scan runs a matcher only when I(a) is its family's I
+    assert set(_I_BY_TAG) == set(_MATCHERS)
+    for tag in _MATCHERS:
+        for mode in MODES:
+            members = list(enumerate_family(tag, 10, mode))
+            assert members, (tag, mode)
+            for s in members:
+                assert i_invariant(s) == _I_BY_TAG[tag], (tag, mode, s)
+
+
+def _witness_json(witnesses):
+    return [w.to_json() for w in witnesses]
+
+
+def test_member_agrees_with_raw_scan():
+    # the I gate and the split-length test only skip work that finds
+    # nothing: witnesses equal the raw scan's, I > 0 strings included
+    for a in enumerate_strings(9, 2):
+        assert _witness_json(member(a, "relaxed")) == _witness_json(member_raw(a, "relaxed")), a
+    for a in enumerate_strings(7, 2):
+        for s in (a, cyclic_dual(a)):
+            assert _witness_json(member(s, "strict")) == _witness_json(member_raw(s, "strict")), s
+
+
+def test_long_scans_make_few_dual_calls(monkeypatch):
+    # at most one split per rotation reaches linear_dual in each matcher
+    # the I gate lets through (two for I = -2: S1c and S1d)
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return linear_dual(b)
+
+    monkeypatch.setattr(families, "linear_dual", counted)
+    b = (3,) * 40
+    s1c = assemble("S1c", {"b": b, "c": linear_dual(b)})
+    for a in ((3,) * 160, s1c):
+        calls.clear()
+        witnesses = member(a, "relaxed")
+        assert len(calls) <= 4 * len(a), (len(a), len(calls))
+    assert {w.tag for w in witnesses} == {"S1c"}
+    # I = -256 and I = -128: no family admits them, so no matcher runs
+    for a in ((2, 2, 2, 3, 2) * 64, (3, 2, 2, 4, 2) * 64):
+        calls.clear()
+        assert member(a) == []
+        assert calls == []
