@@ -133,26 +133,28 @@ def linear_dual(b) -> tuple[int, ...]:
 def cyclic_blocks(a) -> list[tuple[int, int]]:
     """Block decomposition of a cyclic string with some entry >= 3.
 
-    Rotates a so it starts at an entry >= 3 (the first such position of
-    the canonical form) and returns [(big_1, run_1), ...]: each entry
-    >= 3 together with the length of the 2-run that follows it
-    cyclically.
+    Starts at the first entry >= 3 of a and returns [(big_1, run_1),
+    ...]: each entry >= 3 together with the length of the 2-run that
+    follows it cyclically.
     """
-    a = canonical_form(a)
-    if max(a) < 3:
-        raise AllTwosError(f"{a} has no entry >= 3")
-    start = next(i for i, x in enumerate(a) if x >= 3)
-    a = rotate(a, start)
+    a = tuple(a)
     blocks = []
-    i = 0
-    while i < len(a):
-        big = a[i]
-        run = 0
-        i += 1
-        while i < len(a) and a[i] == 2:
+    big = lead = run = 0
+    for x in a:
+        if x == 2:
             run += 1
-            i += 1
-        blocks.append((big, run))
+        elif x < 3:
+            validate_chain(a)  # raises on this entry < 2
+        else:
+            if big:
+                blocks.append((big, run))
+            else:
+                lead = run  # the 2s before the first big entry
+            big, run = x, 0
+    if not big:
+        a = validate_chain(a)  # raises on an empty string
+        raise AllTwosError(f"{a} has no entry >= 3")
+    blocks.append((big, run + lead))  # the trailing run wraps around
     return blocks
 
 

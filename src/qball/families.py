@@ -332,20 +332,8 @@ def _match_s2b(s):
 def _match_s2c(s):
     if s[0] < 3:
         return
-    # parse into (3+x, 2-run) blocks; an odd block count 2k+1 is required
-    blocks = []
-    i = 0
-    n = len(s)
-    while i < n:
-        if s[i] < 3:
-            return
-        big = s[i]
-        i += 1
-        run = 0
-        while i < n and s[i] == 2:
-            run += 1
-            i += 1
-        blocks.append((big, run))
+    # (3+x, 2-run) blocks from s[0] on; an odd block count 2k+1 is required
+    blocks = cyclic_blocks(s)
     j = len(blocks)
     if j % 2 == 0:
         return
@@ -642,10 +630,10 @@ def enumerate_family(tag: str, max_len: int, mode: str = "strict"):
     raise ValueError(f"unknown family tag {tag!r}")
 
 
-def enumerate_members(max_len: int, mode: str = "strict", tags=ALL_TAGS):
-    """Canonical members across several tags, with their tag sets."""
+def enumerate_members(max_len: int, mode: str = "strict"):
+    """Canonical members across all tags, with their tag sets."""
     table: dict[tuple[int, ...], set[str]] = {}
-    for tag in tags:
+    for tag in ALL_TAGS:
         for s in enumerate_family(tag, max_len, mode):
             table.setdefault(s, set()).add(tag)
     return table

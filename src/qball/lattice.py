@@ -17,15 +17,21 @@ exactly three vertices, two of them an adjacent pair (v_s, v_stilde)
 with v_stilde of square -2, lets v_stilde merge into v_s while the
 third vertex v_t sheds its coordinate on that column, raising its
 square by one.  The move preserves the kind, the I invariant and every
-incidence count p_j except p_3, which drops by one.  "Centered" means
-v_t is adjacent to v_s, "rooted" means v_t meets neither.  Expansions
-are the inverse moves; both are verified against each other here.
+incidence count p_j except p_3, which drops by one.  contraction_sites
+lists the legal moves and contract applies one of them; a site is
+"centered" when v_t is adjacent to v_s and "rooted" when v_t meets
+neither.  Expansions are the inverse moves; both are verified against
+each other here.
+
+The named subsets of the catalog come from one table, _FIXTURES, which
+also gives FIXTURE_DOC and the least value of each parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as QQ
+from functools import partial
 
 from .chainstring import canonical_form
 
@@ -73,11 +79,7 @@ def _rank(vectors) -> int:
 class Contraction:
     """Provenance of a contraction, enough to re-expand it."""
 
-    move: str  # "centered" or "rooted"
-    s: int
-    s_tilde: int
-    t: int
-    basis: int  # dropped column index in the parent's coordinates
+    site: dict  # the applied entry of contraction_sites(parent)
     parent_vectors: tuple[Vector, ...]
 
 
@@ -302,9 +304,11 @@ def contraction_sites(s: LatticeSubset) -> list[dict]:
     return sites
 
 
-def _apply_contraction(s: LatticeSubset, site: dict) -> LatticeSubset:
-    n = s.n
-    vs, vst, vt, col = site["s"], site["s_tilde"], site["t"], site["basis"]
+def contract(s: LatticeSubset, site: dict) -> LatticeSubset:
+    """Apply the contraction at one entry of contraction_sites(s)."""
+    if site not in contraction_sites(s):
+        raise LatticeError(f"{site} is not a contraction site of the subset")
+    vs, vst, col = site["s"], site["s_tilde"], site["basis"]
     vecs = list(s.vectors)
     # normalize so the merged pair has intersection +1 (a vertex flip,
     # which moves a negative intersection without changing the string);
@@ -312,55 +316,17 @@ def _apply_contraction(s: LatticeSubset, site: dict) -> LatticeSubset:
     # the inverse expansion reproduces
     if dot(vecs[vs], vecs[vst]) == -1:
         vecs[vst] = tuple(-c for c in vecs[vst])
-    if dot(vecs[vs], vecs[vst]) != 1:
-        raise LatticeError("merged pair must intersect in +-1")
-    merged = tuple(a + b for a, b in zip(vecs[vs], vecs[vst]))
-    shrunk = list(vecs[vt])
-    shrunk[col] = 0
-    new_vecs = []
-    for i in range(n):
-        if i == vst:
-            continue
-        if i == vs:
-            new_vecs.append(merged)
-        elif i == vt:
-            new_vecs.append(tuple(shrunk))
-        else:
-            new_vecs.append(vecs[i])
-    dropped = [tuple(c for j, c in enumerate(v) if j != col) for v in new_vecs]
-    out = classify_subset(dropped)
+    parent = tuple(vecs)
+    vecs[vs] = tuple(a + b for a, b in zip(vecs[vs], vecs[vst]))
+    del vecs[vst]
+    # dropping the column sheds v_t's coordinate there; the merged
+    # pair's coordinates on it cancel
+    out = classify_subset([v[:col] + v[col + 1 :] for v in vecs])
     if out.kind != s.kind:
         raise LatticeError(
             f"contraction changed kind {s.kind} -> {out.kind}; move was illegal"
         )
-    record = Contraction(site["move"], vs, vst, vt, col, tuple(vecs))
-    return LatticeSubset(out.vectors, out.kind, out.string, record)
-
-
-def contract_centered(s: LatticeSubset, center: int, basis: int | None = None) -> LatticeSubset:
-    """Contract at the center vertex; for n = 3 the column must be given."""
-    sites = [x for x in contraction_sites(s) if x["move"] == "centered" and x["s"] == center]
-    if basis is not None:
-        sites = [x for x in sites if x["basis"] == basis]
-    if not sites:
-        raise LatticeError(f"vertex {center} is not a center of the subset")
-    if len({x["basis"] for x in sites}) > 1:
-        raise LatticeError(
-            f"ambiguous center at vertex {center}; pass the basis column explicitly"
-        )
-    return _apply_contraction(s, sites[0])
-
-
-def contract_rooted(s: LatticeSubset, root: int, basis: int) -> LatticeSubset:
-    """Contract rooted at v_root relative to the given basis column."""
-    sites = [
-        x
-        for x in contraction_sites(s)
-        if x["move"] == "rooted" and x["t"] == root and x["basis"] == basis
-    ]
-    if not sites:
-        raise LatticeError(f"no rooted contraction at vertex {root} on column {basis}")
-    return _apply_contraction(s, sites[0])
+    return LatticeSubset(out.vectors, out.kind, out.string, Contraction(site, parent))
 
 
 # ---------------------------------------------------------------------------
@@ -481,29 +447,6 @@ def random_expansion(s: LatticeSubset, rng) -> LatticeSubset | None:
 # named fixtures
 
 
-def _star_vectors(k: int) -> list[Vector]:
-    n = 2 * k + 1
-
-    def e(i):  # 1-based basis vector in Z^n
-        v = [0] * n
-        v[i - 1] = 1
-        return v
-
-    def minus(*terms):
-        out = [0] * n
-        for sign, vec in terms:
-            out = [a + sign * b for a, b in zip(out, vec)]
-        return tuple(out)
-
-    vecs = []
-    for j in range(k):
-        vecs.append(minus((1, e(2 * j + 1)), (-1, e(2 * j + 2)), (-1, e(2 * j + 3))))
-    vecs.append(minus((1, e(2 * k + 1)), (-1, e(1)), (-1, e(2))))
-    for j in range(k):
-        vecs.append(minus((1, e(2 * j + 2)), (-1, e(2 * j + 3)), (-1, e(2 * j + 4 if 2 * j + 4 <= n else (2 * j + 4) - n))))
-    return vecs
-
-
 def _vec(n: int, *terms) -> Vector:
     """Sum of signed 1-based basis vectors in Z^n, e.g. _vec(4, 1, -2)."""
     out = [0] * n
@@ -513,17 +456,29 @@ def _vec(n: int, *terms) -> Vector:
     return tuple(out)
 
 
-def _star_expanded(k: int) -> LatticeSubset:
+def _star_vectors(k: int) -> list[Vector]:
+    # v_i = e_i - e_{i+1} - e_{i+2}, indices mod 2k+1, odd i listed first
+    n = 2 * k + 1
+    order = [*range(1, n + 1, 2), *range(2, n, 2)]
+    return [_vec(n, i, -(i % n + 1), -((i + 1) % n + 1)) for i in order]
+
+
+def _star_expanded(k: int) -> tuple[Vector, ...]:
     # the k >= 1 family with string (4, 3^[k], 2, 3^[k]): split the edge
     # after the (k+1)-st star vertex over the e_2 column, growing the first
     star = classify_subset(_star_vectors(k))
-    return expand(star, {"u": k, "w": k + 1, "m": 1, "t": 0})
+    return expand(star, {"u": k, "w": k + 1, "m": 1, "t": 0}).vectors
 
 
 def _chain_cycle(n: int) -> list[Vector]:
     vecs = [_vec(n, i, -(i + 1)) for i in range(1, n)]
     vecs.append(_vec(n, n, 1))
     return vecs
+
+
+def _length5(middle: Vector) -> list[Vector]:
+    # the two length-5 positive cycles differ only in their middle vertex
+    return [_vec(5, -2, -4), _vec(5, 2, 3, -1), middle, _vec(5, 4, 3, -2), _vec(5, 2, 1)]
 
 
 def _path(n, lo, hi):
@@ -570,22 +525,21 @@ def _standard_catalog(case: str, x: int, y: int) -> list[Vector]:
         if y >= 1:
             tail = [_vec(n, tail_start, -(x + 5))] + _path(n, x + 5, x + y + 4)
         return head + mid + tail
-    if case == "3c":
-        n = x + y + 5
-        xs = list(range(6, x + 6))
-        ys = list(range(x + 6, x + y + 6))
-        head = [
-            _vec(n, 1, -2, -5, *[-i for i in xs]),
-            _vec(n, 2, 3),
-            _vec(n, -2, -1, -4, *[-i for i in ys]),
-            _vec(n, -5, 2, -3),
-        ]
-        mid = _path(n, 5, x + 5) + [_vec(n, x + 5, 1, -4)]
-        tail = []
-        if y >= 1:
-            tail = [_vec(n, 4, -(x + 6))] + _path(n, x + 6, x + y + 5)
-        return head + mid + tail
-    raise LatticeError(f"unknown catalog case {case!r}")
+    # "3c"
+    n = x + y + 5
+    xs = list(range(6, x + 6))
+    ys = list(range(x + 6, x + y + 6))
+    head = [
+        _vec(n, 1, -2, -5, *[-i for i in xs]),
+        _vec(n, 2, 3),
+        _vec(n, -2, -1, -4, *[-i for i in ys]),
+        _vec(n, -5, 2, -3),
+    ]
+    mid = _path(n, 5, x + 5) + [_vec(n, x + 5, 1, -4)]
+    tail = []
+    if y >= 1:
+        tail = [_vec(n, 4, -(x + 6))] + _path(n, x + 6, x + y + 5)
+    return head + mid + tail
 
 
 def check_catalog_2c(s: LatticeSubset) -> bool:
@@ -638,76 +592,74 @@ def check_catalog_2c(s: LatticeSubset) -> bool:
     return shared_two and opposed_three
 
 
-FIXTURE_DOC = {
-    "base2_negative": "length-2 negative cycle, string (2,2)",
-    "base2_positive": "length-2 positive cycle, string (4,2)",
-    "base3_negative": "length-3 negative cycle, string (2,2,2)",
-    "base3_positive_522": "length-3 positive cycle, string (5,2,2)",
-    "base3_positive_333": "length-3 positive cycle, string (3,3,3)",
-    "chain_cycle": "negative cycle (2^[n]), parameter n >= 2",
-    "chain_cycle_alt": "the alternate (2,2,2,2) negative cycle with p1 = p3 = 2",
-    "length5_23232": "positive cycle with string (2,3,2,3,2)",
-    "length5_23532": "positive cycle with string (2,3,5,3,2)",
-    "exceptional": "negative cycle with string (6,2,2,2,6,2,2,2)",
-    "star": "positive cycle (3^[2k+1]), parameter k >= 1",
-    "star_expanded": "positive cycle (4,3^[k],2,3^[k]), parameter k >= 1",
-    "standard_2a": "standard subset (2^[x],3,2+y,2+x,3,2^[y])",
-    "standard_2b": "standard subset (2^[x],3+y,2,2+x,3,2^[y])",
-    "standard_3a": "standard subset (2+x,2+y,3,2^[x],4,2^[y])",
-    "standard_3b": "standard subset (2+x,2,3+y,2^[x],4,2^[y])",
-    "standard_3c": "standard subset (3+x,2,3+y,3,2^[x],3,2^[y])",
+# name -> (doc, least value of each parameter, builder of the vectors)
+_FIXTURES = {
+    "base2_negative": (
+        "length-2 negative cycle, string (2,2)", {}, lambda: [_vec(2, 1, -2), _vec(2, 2, 1)]
+    ),
+    "base2_positive": ("length-2 positive cycle, string (4,2)", {}, lambda: [(2, 0), (-1, 1)]),
+    "base3_negative": ("length-3 negative cycle, string (2,2,2)", {}, lambda: _chain_cycle(3)),
+    "base3_positive_522": (
+        "length-3 positive cycle, string (5,2,2)",
+        {},
+        lambda: [(2, 0, -1), (-1, 0, -1), (0, 1, 1)],
+    ),
+    "base3_positive_333": (
+        "length-3 positive cycle, string (3,3,3)",
+        {},
+        lambda: [_vec(3, 1, -2, -3), _vec(3, 3, -1, -2), _vec(3, 2, -3, -1)],
+    ),
+    "chain_cycle": ("negative cycle (2^[n]), parameter n >= 2", {"n": 2}, _chain_cycle),
+    "chain_cycle_alt": (
+        "the alternate (2,2,2,2) negative cycle with p1 = p3 = 2",
+        {},
+        lambda: [_vec(4, 1, -2), _vec(4, 2, -3), _vec(4, -2, -1), _vec(4, 1, 4)],
+    ),
+    "length5_23232": (
+        "positive cycle with string (2,3,2,3,2)", {}, lambda: _length5(_vec(5, 5, -3))
+    ),
+    "length5_23532": (
+        "positive cycle with string (2,3,5,3,2)", {}, lambda: _length5((0, 0, -1, 0, 2))
+    ),
+    "exceptional": (
+        "negative cycle with string (6,2,2,2,6,2,2,2)",
+        {},
+        lambda: [
+            _vec(8, 2, 3, 4, 5, 6, 7), _vec(8, 1, -2), _vec(8, 2, -3), _vec(8, 3, -4),
+            _vec(8, -1, -2, -3, 5, 6, 8), _vec(8, 7, -6), _vec(8, 6, -5), _vec(8, 5, -8),
+        ],
+    ),
+    "star": ("positive cycle (3^[2k+1]), parameter k >= 1", {"k": 1}, _star_vectors),
+    "star_expanded": (
+        "positive cycle (4,3^[k],2,3^[k]), parameter k >= 1", {"k": 1}, _star_expanded
+    ),
+    **{
+        f"standard_{case}": (
+            f"standard subset {shape}", {"x": 0, "y": 0}, partial(_standard_catalog, case)
+        )
+        for case, shape in [
+            ("2a", "(2^[x],3,2+y,2+x,3,2^[y])"),
+            ("2b", "(2^[x],3+y,2,2+x,3,2^[y])"),
+            ("3a", "(2+x,2+y,3,2^[x],4,2^[y])"),
+            ("3b", "(2+x,2,3+y,2^[x],4,2^[y])"),
+            ("3c", "(3+x,2,3+y,3,2^[x],3,2^[y])"),
+        ]
+    },
 }
+
+FIXTURE_DOC = {name: doc for name, (doc, _least, _build) in _FIXTURES.items()}
 
 
 def fixture(name: str, **params) -> LatticeSubset:
     """Build a named subset; see FIXTURE_DOC for the catalog."""
-    if name == "base2_negative":
-        vecs = [_vec(2, 1, -2), _vec(2, 2, 1)]
-    elif name == "base2_positive":
-        vecs = [(2, 0), (-1, 1)]
-    elif name == "base3_negative":
-        vecs = _chain_cycle(3)
-    elif name == "base3_positive_522":
-        vecs = [(2, 0, -1), (-1, 0, -1), (0, 1, 1)]
-    elif name == "base3_positive_333":
-        vecs = [_vec(3, 1, -2, -3), _vec(3, 3, -1, -2), _vec(3, 2, -3, -1)]
-    elif name == "chain_cycle":
-        vecs = _chain_cycle(params["n"])
-    elif name == "chain_cycle_alt":
-        vecs = [_vec(4, 1, -2), _vec(4, 2, -3), _vec(4, -2, -1), _vec(4, 1, 4)]
-    elif name == "length5_23232":
-        vecs = [
-            _vec(5, -2, -4),
-            _vec(5, 2, 3, -1),
-            _vec(5, 5, -3),
-            _vec(5, 4, 3, -2),
-            _vec(5, 2, 1),
-        ]
-    elif name == "length5_23532":
-        vecs = [
-            _vec(5, -2, -4),
-            _vec(5, 2, 3, -1),
-            (0, 0, -1, 0, 2),
-            _vec(5, 4, 3, -2),
-            _vec(5, 2, 1),
-        ]
-    elif name == "exceptional":
-        vecs = [
-            _vec(8, 2, 3, 4, 5, 6, 7),
-            _vec(8, 1, -2),
-            _vec(8, 2, -3),
-            _vec(8, 3, -4),
-            _vec(8, -1, -2, -3, 5, 6, 8),
-            _vec(8, 7, -6),
-            _vec(8, 6, -5),
-            _vec(8, 5, -8),
-        ]
-    elif name == "star":
-        vecs = _star_vectors(params["k"])
-    elif name == "star_expanded":
-        return _star_expanded(params["k"])
-    elif name.startswith("standard_"):
-        vecs = _standard_catalog(name.removeprefix("standard_"), params["x"], params["y"])
-    else:
+    if name not in _FIXTURES:
         raise LatticeError(f"unknown fixture {name!r}")
-    return classify_subset(vecs)
+    _doc, least, build = _FIXTURES[name]
+    if params.keys() != least.keys():
+        raise LatticeError(
+            f"fixture {name!r} takes parameters {sorted(least)}, got {sorted(params)}"
+        )
+    for key, value in params.items():
+        if value < least[key]:
+            raise LatticeError(f"fixture {name!r} needs {key} >= {least[key]}, got {value}")
+    return classify_subset(build(**params))

@@ -63,8 +63,7 @@ from qball.lattice import (
     NEGATIVE,
     POSITIVE,
     STANDARD,
-    contract_centered,
-    contract_rooted,
+    contract,
     contraction_sites,
     fixture,
     gram,
@@ -339,11 +338,7 @@ def test_criterion_7_contraction_suite():
         sites = contraction_sites(cur)
         if not sites:
             continue
-        site = rng.choice(sites)
-        if site["move"] == "centered":
-            out = contract_centered(cur, site["s"], site["basis"])
-        else:
-            out = contract_rooted(cur, site["t"], site["basis"])
+        out = contract(cur, rng.choice(sites))
         # invariants: I, kind, p_j for j != 3; p_3 drops by one
         assert out.kind == cur.kind
         assert subset_i_invariant(out) == subset_i_invariant(cur)

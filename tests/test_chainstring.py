@@ -141,6 +141,10 @@ def test_cyclic_dual_golden():
     assert cyclic_dual((6,)) == (2, 2, 2, 3)
     with pytest.raises(AllTwosError):
         cyclic_dual((2, 2, 2))
+    # an entry < 2 or an empty string is malformed, not all-2
+    for bad, msg in [((3, 1), "coefficient 1 < 2"), ((2, 0, 2), "coefficient 0 < 2"), ((), "empty")]:
+        with pytest.raises(StringError, match=msg):
+            cyclic_dual(bad)
 
 
 def test_cyclic_dual_involution_and_i():

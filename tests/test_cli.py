@@ -113,6 +113,19 @@ def test_fixtures_command():
     assert payload["p"] == {"3": 5}
 
 
+def test_fixtures_bad_parameters_exit_1(capsys):
+    for argv in [
+        ("--name", "star"),
+        ("--name", "standard_2a", "--x", "0"),
+        ("--name", "star", "--k", "0"),
+        ("--name", "standard_2a", "--x", "-1", "--y", "0"),
+    ]:
+        code, out = invoke("fixtures", *argv)
+        assert (code, out) == (1, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("qball: error: ") and err.count("\n") == 1, err
+
+
 def test_verify_json_and_csv():
     code, out = invoke("verify", "--max-n", "3")
     rows = lines(out)

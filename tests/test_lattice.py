@@ -6,14 +6,15 @@ import pytest
 
 from qball.chainstring import canonical_form
 from qball.lattice import (
+    _FIXTURES,
+    FIXTURE_DOC,
     INVALID,
     NEGATIVE,
     POSITIVE,
     STANDARD,
     LatticeError,
     classify_subset,
-    contract_centered,
-    contract_rooted,
+    contract,
     contraction_sites,
     expand,
     expansion_sites,
@@ -108,6 +109,28 @@ def test_fixture_catalog_documented_values():
         assert is_independent(s)
 
 
+def test_every_fixture_builds_at_its_least_parameters():
+    assert FIXTURE_DOC.keys() == _FIXTURES.keys()
+    for name, (_doc, least, _build) in _FIXTURES.items():
+        assert fixture(name, **least).kind != INVALID, name
+    assert fixture("chain_cycle", n=2).string == (2, 2)
+    assert fixture("star_expanded", k=1).string == canonical_form((4, 3, 2, 3))
+
+
+def test_fixture_rejects_missing_extra_and_small_parameters():
+    for name, params in [
+        ("star", {}),
+        ("star", {"k": 0}),
+        ("chain_cycle", {"n": 1}),
+        ("standard_2a", {"x": 0}),
+        ("standard_2a", {"x": -1, "y": 0}),
+        ("base2_negative", {"n": 3}),
+        ("no_such_fixture", {}),
+    ]:
+        with pytest.raises(LatticeError):
+            fixture(name, **params)
+
+
 def test_star_expanded_fixture():
     for k in range(1, 4):
         s = fixture("star_expanded", k=k)
@@ -186,15 +209,16 @@ def test_contract_base_case():
     centers = {x["s"] for x in sites if x["move"] == "centered"}
     assert centers == {1, 2}
     for site in sites:
-        out = contract_centered(s, site["s"], site["basis"])
+        out = contract(s, site)
         assert (out.kind, out.string) == (POSITIVE, (2, 4))
+        assert out.provenance.site == site
 
 
 def test_contract_string_effect():
     # (..., 2, a_s, a_t, ...) -> (..., a_s, a_t - 1, ...)
     s = fixture("star_expanded", k=2)  # (4,3,3,2,3,3)
     site = [x for x in contraction_sites(s) if x["move"] == "rooted"][0]
-    out = contract_rooted(s, site["t"], site["basis"])
+    out = contract(s, site)
     assert out.string == (3,) * 5
     assert subset_i_invariant(out) == subset_i_invariant(s)
 
@@ -207,11 +231,7 @@ def test_star_contraction_chain():
         sites = contraction_sites(s)
         expected_move = "centered" if k == 1 else "rooted"
         assert {x["move"] for x in sites} == {expected_move}, k
-        site = sites[0]
-        if site["move"] == "centered":
-            out = contract_centered(s, site["s"], site["basis"])
-        else:
-            out = contract_rooted(s, site["t"], site["basis"])
+        out = contract(s, sites[0])
         assert (out.kind, out.string) == (POSITIVE, (3,) * (2 * k + 1))
 
 
@@ -219,7 +239,13 @@ def test_contract_requires_center():
     s = fixture("star", k=1)
     assert contraction_sites(s) == []
     with pytest.raises(LatticeError):
-        contract_centered(s, 0)
+        contract(s, {"move": "centered", "s": 0, "s_tilde": 1, "t": 2, "basis": 0})
+    # a listed site with one field changed is not a site
+    s = fixture("base3_positive_522")
+    site = contraction_sites(s)[0]
+    for key, value in [("move", "rooted"), ("basis", (site["basis"] + 1) % 3), ("t", site["s"])]:
+        with pytest.raises(LatticeError):
+            contract(s, {**site, key: value})
 
 
 def test_contraction_invariants_on_generated_subsets(rng):
@@ -273,11 +299,7 @@ def test_expansion_contraction_gram_roundtrip(rng):
                     ]
                     if not back_sites:
                         continue
-                    bs = back_sites[0]
-                    if bs["move"] == "centered":
-                        back = contract_centered(cand, bs["s"], bs["basis"])
-                    else:
-                        back = contract_rooted(cand, bs["t"], bs["basis"])
+                    back = contract(cand, back_sites[0])
                     assert gram(back.vectors) == gram(cur.vectors)
                     nxt = cand
                     done += 1
@@ -303,11 +325,7 @@ def test_contraction_chains_terminate_at_base_length():
             sites = contraction_sites(cur)
             if not sites:
                 break
-            site = sites[0]
-            if site["move"] == "centered":
-                cur = contract_centered(cur, site["s"], site["basis"])
-            else:
-                cur = contract_rooted(cur, site["t"], site["basis"])
+            cur = contract(cur, sites[0])
         assert cur.n <= 5, cur.string
 
 
