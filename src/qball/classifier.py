@@ -5,19 +5,27 @@ never bound a rational homology circle; parabolic ones bound exactly
 when their trace is negative; a hyperbolic bundle bounds exactly when
 its trace is positive and its coefficient string lies in the family
 S2c.  For the chain-link surgeries Y(a, t) the decision reduces to
-family membership of a and of its cyclic dual d:
+family membership of a and of its cyclic dual d.  The parity of t picks
+the family and the side of the definite filling whose lattice embedding
+can obstruct:
 
-* t = 0:   S2 membership of a or d certifies a ball, and a failed
-  positive-side embedding for both refutes one;
-* t = -1:  membership of a in S1 (or d in S1b-S1e) certifies a ball;
-  for d in S1a the parity of the half-string numerator p, with
-  p^2 = |H1(Y(a, -1))|, decides the odd-order case (p odd obstructs,
-  p even stays open); otherwise the negative-side embedding search
-  obstructs or stays silent;
-* t = +1:  the mirror of t = -1 with a and d exchanged;
-* |t| >= 2: only one-directional rules apply: S2c membership of a or d
-  certifies balls for all even t, and a failed embedding search for
-  both a and d obstructs the whole parity class at once.
+    t       family   filling
+    even    S2       positive
+    odd     S1       negative
+
+and one rule sequence serves both parities:
+
+1. a single entry at t in {0, -1} is a lens space and decided as such;
+   t = +1 is the mirror of t = -1 with a and d exchanged;
+2. at t in {0, -1}, membership of a, then of d, certifies a ball.  A
+   dual in S1a is decided instead by the parity of the half-string
+   numerator p, with p^2 = |H1(Y(a, -1))|: p odd obstructs, p even
+   stays open;
+3. at even |t| >= 2, S2c membership of a or d certifies a ball;
+4. exhausted embedding searches for both a and d obstruct, for the
+   whole parity class at once;
+5. otherwise the verdict is a silent Unknown: an embedding exists (or
+   membership decides only t in {0, +-1}) and no construction is known.
 
 Everything is decided exactly; a verdict is "Bounds", "NotBounds" or
 "Unknown" and carries the ordered list of rules that produced it.
@@ -213,18 +221,17 @@ def _normalize_elliptic(m) -> Elliptic:
     # separated by the sign of the definite binary form (c, d-a, -b)
     # attached to the fixed point; conjugation acts on the form by a
     # determinant-1 change of variable, which preserves that sign.
-    tr = m[0][0] + m[1][1]
+    # The six words hold both classes of each trace, so m's class is the
+    # word with its trace and its sign of c, the form's leading entry.
     # c != 0: with determinant 1, c = 0 would force a = d = +-1, trace +-2
-    negative_form = m[1][0] < 0
-    word = {
-        (0, True): "S",
-        (0, False): "-S",
-        (1, True): "T^-1*S",
-        (1, False): "-(T^-1*S)^2",
-        (-1, True): "(T^-1*S)^2",
-        (-1, False): "-T^-1*S",
-    }[(tr, negative_form)]
-    return Elliptic(word)
+    tr = m[0][0] + m[1][1]
+    return Elliptic(
+        next(
+            word
+            for word, w in _ELLIPTIC_WORDS.items()
+            if w[0][0] + w[1][1] == tr and (w[1][0] < 0) == (m[1][0] < 0)
+        )
+    )
 
 
 def _normalize_parabolic(m) -> Parabolic:
@@ -360,7 +367,7 @@ def _embedding_exists(a, kind) -> bool | None:
 _embedding_cache: dict = {}
 
 
-def _obstructed(a, d, kind) -> Verdict | None:
+def _obstructed(a, d, side) -> Verdict | None:
     """Certified non-existence verdict, or None when the search is silent.
 
     A surgery that bounds forces an embedding of the definite filling
@@ -368,7 +375,7 @@ def _obstructed(a, d, kind) -> Verdict | None:
     exhausted searches prove NotBounds outright.  A found embedding or
     an exhausted budget cannot conclude.
     """
-    side = "negative" if kind == "negative_cyclic" else "positive"
+    kind = f"{side}_cyclic"
     got_a = _embedding_exists(a, kind)
     got_d = _embedding_exists(d, kind)
     if got_a is False and got_d is False:
@@ -459,40 +466,33 @@ def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
             NOT_BOUNDS,
             Reason("lens", f"the surgery is L({m + 2},1) with {m + 2} >= 5"),
         )
-
-    if t == 0:
-        if tags_a.intersection(S2_TAGS):
-            fam = sorted(tags_a.intersection(S2_TAGS))[0]
-            return _verdict(BOUNDS, Reason("even-membership", f"string lies in {fam}"))
-        if tags_d.intersection(S2_TAGS):
-            fam = sorted(tags_d.intersection(S2_TAGS))[0]
-            return _verdict(
-                BOUNDS, Reason("even-dual-membership", f"cyclic dual {d} lies in {fam}")
-            )
-        obstructed = _obstructed(a, d, "positive_cyclic")
-        if obstructed is not None:
-            return obstructed
-        return _verdict(
-            UNKNOWN,
-            Reason(
-                "even-embedding-found",
-                "a positive cyclic subset exists although the string is "
-                "outside S2, so the lattice obstruction is silent and no "
-                "construction is known",
-            ),
+    if t == 1:
+        # reversing orientation turns Y(a, 1) into Y(d, -1); the dual of
+        # d is a up to rotation and reversal, which tag sets ignore
+        v = _decide(d, cyclic_dual(d), -1, tags_d, tags_a)
+        return Verdict(
+            v.status,
+            (Reason("mirror", f"orientation reversal to Y({d}, -1)"),) + v.reasons,
         )
 
-    if t == -1:
-        if tags_a.intersection(S1_TAGS):
-            fam = sorted(tags_a.intersection(S1_TAGS))[0]
-            return _verdict(BOUNDS, Reason("odd-membership", f"string lies in {fam}"))
-        if tags_d.intersection(S1_TAGS) - {"S1a"}:
-            fam = sorted(tags_d.intersection(S1_TAGS) - {"S1a"})[0]
+    if t % 2 == 0:
+        parity, family, side = "even", S2_TAGS, "positive"
+    else:
+        parity, family, side = "odd", S1_TAGS, "negative"
+    if t in (0, -1):
+        found = tags_a.intersection(family)
+        if found:
+            return _verdict(
+                BOUNDS, Reason(f"{parity}-membership", f"string lies in {min(found)}")
+            )
+        # a dual in S1a is left to the half-string numerator rule below
+        found = tags_d.intersection(family) - {"S1a"}
+        if found:
             return _verdict(
                 BOUNDS,
-                Reason("odd-dual-membership", f"cyclic dual {d} lies in {fam}"),
+                Reason(f"{parity}-dual-membership", f"cyclic dual {d} lies in {min(found)}"),
             )
-        if "S1a" in tags_d:
+        if t == -1 and "S1a" in tags_d:
             # the half-string numerator: duals share |H1|, which is p^2
             p = isqrt(homology_order(a, "odd"))
             if p % 2 == 1:
@@ -513,59 +513,35 @@ def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
                     "no statement decides this case",
                 ),
             )
-        obstructed = _obstructed(a, d, "negative_cyclic")
-        if obstructed is not None:
-            return obstructed
+    elif parity == "even" and ("S2c" in tags_a or "S2c" in tags_d):
+        return _verdict(
+            BOUNDS,
+            Reason("even-S2c-all-t", "an S2c string bounds for every even twisting"),
+        )
+
+    # The intersection form of the bounding handlebody depends only on the
+    # parity of t, so exhausted embedding searches obstruct the whole
+    # parity class at once.
+    obstructed = _obstructed(a, d, side)
+    if obstructed is not None:
+        return obstructed
+    name = family[0][:2]  # "S2" or "S1"
+    if t in (0, -1):
         return _verdict(
             UNKNOWN,
             Reason(
-                "odd-embedding-found",
-                "a negative cyclic subset exists although the string is "
-                "outside S1, so the lattice obstruction is silent and no "
+                f"{parity}-embedding-found",
+                f"a {side} cyclic subset exists although the string is "
+                f"outside {name}, so the lattice obstruction is silent and no "
                 "construction is known",
             ),
         )
-    if t == 1:
-        # reversing orientation turns Y(a, 1) into Y(d, -1); the dual of
-        # d is a up to rotation and reversal, which tag sets ignore
-        v = _decide(d, cyclic_dual(d), -1, tags_d, tags_a)
-        return Verdict(
-            v.status,
-            (Reason("mirror", f"orientation reversal to Y({d}, -1)"),) + v.reasons,
-        )
-
-    # |t| >= 2: one-directional rules only.  The intersection form of the
-    # bounding handlebody depends only on the parity of t, so exhausted
-    # embedding searches obstruct the whole parity class at once.
-    if t % 2 == 0:
-        if "S2c" in tags_a or "S2c" in tags_d:
-            return _verdict(
-                BOUNDS,
-                Reason(
-                    "even-S2c-all-t",
-                    "an S2c string bounds for every even twisting",
-                ),
-            )
-        obstructed = _obstructed(a, d, "positive_cyclic")
-        if obstructed is not None:
-            return obstructed
-        return _verdict(
-            UNKNOWN,
-            Reason(
-                "even-open",
-                f"a positive embedding exists, and S2 membership outside "
-                f"S2c decides only t = 0, not t = {t}",
-            ),
-        )
-    obstructed = _obstructed(a, d, "negative_cyclic")
-    if obstructed is not None:
-        return obstructed
+    decides = "outside S2c decides only t = 0" if parity == "even" else "decides only t = +-1"
     return _verdict(
         UNKNOWN,
         Reason(
-            "odd-open",
-            f"a negative embedding exists, and S1 membership decides only "
-            f"t = +-1, not t = {t}",
+            f"{parity}-open",
+            f"a {side} embedding exists, and {name} membership {decides}, not t = {t}",
         ),
     )
 

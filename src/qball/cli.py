@@ -166,7 +166,8 @@ def cmd_verify(args, out):
         nonlocal wrote_header
         if args.csv:
             if not wrote_header:
-                out.write(embedsearch.CSV_HEADER + "\n")
+                # the header names the to_json keys, which to_csv follows
+                out.write(",".join(row.to_json(args.mode)) + "\n")
                 wrote_header = True
             out.write(row.to_csv(args.mode) + "\n")
         else:
@@ -292,3 +293,7 @@ def run(argv=None, out=None) -> int:
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -417,22 +417,16 @@ class Row:
         }
 
     def to_csv(self, mode: str) -> str:
-        d = self.to_json(mode)
-        return ",".join(
-            [
-                '"%s"' % d["string"],
-                str(d["I"]),
-                *(str(d[k]).lower() for k in ("s1_strict", "s1_relaxed", "s2_strict", "s2_relaxed")),
-                d["neg"],
-                d["pos"],
-                str(d["agree"]).lower(),
-                str(d["nodes"]),
-                str(d["ms"]),
-            ]
-        )
-
-
-CSV_HEADER = "string,I,s1_strict,s1_relaxed,s2_strict,s2_relaxed,neg,pos,agree,nodes,ms"
+        """The to_json fields in order, with the string quoted."""
+        cells = []
+        for key, value in self.to_json(mode).items():
+            if key == "string":
+                cells.append(f'"{value}"')
+            elif isinstance(value, bool):
+                cells.append(str(value).lower())
+            else:
+                cells.append(str(value))
+        return ",".join(cells)
 
 
 def _row_for(args) -> Row:

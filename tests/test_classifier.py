@@ -8,6 +8,7 @@ from math import isqrt
 
 import pytest
 
+from qball import classifier
 from qball.chainstring import canonical_form, cyclic_dual, reverse, rotate
 from qball.classifier import (
     BOUNDS,
@@ -438,6 +439,150 @@ def test_invalid_mode_rejected_on_every_path():
         classify_surgery((3,), 0, "bogus")
     with pytest.raises(ValueError):
         classify_braid_cover((3, 2, 2), 0, "bogus")
+
+
+_HALF_NUMERATOR = "dual in S1a with {} half-string numerator p = {}"
+_NO_CONSTRUCTION = (
+    "a {} cyclic subset exists although the string is outside {}, so the "
+    "lattice obstruction is silent and no construction is known"
+)
+_BOUNDARY = (
+    "relaxed membership (side condition k+l >= 2) gives Bounds; the side "
+    "condition as written excludes it"
+)
+
+# one strict-mode query per surgery rule, with its full verdict
+SURGERY_RULE_GOLDENS = [
+    ((3,), -1, NOT_BOUNDS, [("lens", "the surgery is L(5,1) with 5 >= 5")]),
+    ((3,), 0, BOUNDS, [("lens", "the surgery is the lens space L(1,1)")]),
+    ((4,), 0, NOT_BOUNDS, [("lens", "the surgery is L(2,1); only L(1,1) and L(4,1) bound")]),
+    ((2,), -3, BOUNDS, [("all-two-odd", "odd surgeries on the all-2 chain bound")]),
+    ((2,), 0, NOT_BOUNDS, [("all-two-untwisted", "the untwisted all-2 surgery never bounds")]),
+    ((2,), -2, UNKNOWN, [("all-two-even", "no rule covers even twisting t = -2 here")]),
+    ((2, 4), 0, BOUNDS, [("even-membership", "string lies in S2a")]),
+    (
+        (2, 5, 5),
+        0,
+        BOUNDS,
+        [("even-dual-membership", "cyclic dual (2, 2, 3, 2, 2, 4) lies in S2e")],
+    ),
+    ((2, 2, 2, 5), -1, BOUNDS, [("odd-membership", "string lies in S1b")]),
+    ((4, 4), -1, BOUNDS, [("odd-dual-membership", "cyclic dual (2, 3, 2, 3) lies in S1c")]),
+    (
+        (2, 2, 3, 2, 2, 3),
+        1,
+        NOT_BOUNDS,
+        [
+            ("mirror", "orientation reversal to Y((5, 5), -1)"),
+            (
+                "dual-S1a-odd-order",
+                _HALF_NUMERATOR.format("odd", 5) + ": the correction term of the "
+                "unique self-conjugate structure is nonzero",
+            ),
+        ],
+    ),
+    (
+        (2, 2, 2, 2, 2, 4),
+        1,
+        UNKNOWN,
+        [
+            ("mirror", "orientation reversal to Y((2, 8), -1)"),
+            (
+                "dual-S1a-even-order",
+                _HALF_NUMERATOR.format("even", 4) + "; no statement decides this case",
+            ),
+        ],
+    ),
+    (
+        (3,),
+        -3,
+        NOT_BOUNDS,
+        [
+            (
+                "negative-embedding-exhausted",
+                "neither (3,) nor its dual (3,) admits the negative-side lattice "
+                "embedding (non-existence is exact)",
+            )
+        ],
+    ),
+    (
+        (2, 3),
+        -2,
+        NOT_BOUNDS,
+        [
+            (
+                "positive-embedding-exhausted",
+                "neither (2, 3) nor its dual (4,) admits the positive-side lattice "
+                "embedding (non-existence is exact)",
+            )
+        ],
+    ),
+    (
+        (2, 2, 3, 2, 3),
+        0,
+        UNKNOWN,
+        [
+            ("even-embedding-found", _NO_CONSTRUCTION.format("positive", "S2")),
+            ("mode-boundary", _BOUNDARY),
+            ("even-membership", "string lies in S2e"),
+        ],
+    ),
+    (
+        (2, 2, 4, 2, 2, 4),
+        -1,
+        UNKNOWN,
+        [
+            ("odd-embedding-found", _NO_CONSTRUCTION.format("negative", "S1")),
+            ("mode-boundary", _BOUNDARY),
+            ("odd-membership", "string lies in S1d"),
+        ],
+    ),
+    ((3,), -2, BOUNDS, [("even-S2c-all-t", "an S2c string bounds for every even twisting")]),
+    (
+        (2, 2, 2, 3),
+        -2,
+        UNKNOWN,
+        [
+            (
+                "even-open",
+                "a positive embedding exists, and S2 membership outside S2c "
+                "decides only t = 0, not t = -2",
+            )
+        ],
+    ),
+    (
+        (2, 2, 2, 5),
+        -3,
+        UNKNOWN,
+        [
+            (
+                "odd-open",
+                "a negative embedding exists, and S1 membership decides only "
+                "t = +-1, not t = -3",
+            )
+        ],
+    ),
+]
+
+
+def _golden_json(status, reasons):
+    return {"status": status, "reasons": [{"rule": r, "detail": d} for r, d in reasons]}
+
+
+@pytest.mark.parametrize("a, t, status, reasons", SURGERY_RULE_GOLDENS)
+def test_surgery_rule_goldens(a, t, status, reasons):
+    assert classify_surgery(a, t).to_json() == _golden_json(status, reasons)
+
+
+def test_surgery_budget_rule_goldens(monkeypatch):
+    # a zero node budget turns every obstruction search past length 1
+    # into the budget Unknown; a fresh memo keeps those answers local
+    monkeypatch.setattr(classifier, "OBSTRUCTION_BUDGET", 0)
+    monkeypatch.setattr(classifier, "_embedding_cache", {})
+    detail = "the obstruction search exceeded its node budget"
+    for a, t, side in [((3, 3, 3, 3, 3, 3), -1, "negative"), ((2, 2, 2, 3), 2, "positive")]:
+        got = classify_surgery(a, t).to_json()
+        assert got == _golden_json(UNKNOWN, [(f"{side}-embedding-budget", detail)]), (a, t)
 
 
 # ---------------------------------------------------------------------------

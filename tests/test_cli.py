@@ -1,11 +1,17 @@
 """The qball command: output formats, exit codes, determinism."""
 
+import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qball.cli import run
+from qball.embedsearch import verify_classification
 
 
 def invoke(*argv):
@@ -26,6 +32,21 @@ def test_dual():
     assert lines(out) == [{"dual": "4"}]
     code, out = invoke("dual", "--linear", "1")
     assert lines(out) == [{"dual": ""}]
+
+
+def test_module_runs_the_command():
+    # an uninstalled checkout runs the command as python -m qball.cli
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qball.cli", "dual", "--cyclic", "3,2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert lines(done.stdout) == [{"dual": "4"}]
 
 
 def test_classify_surgery_exit_codes():
@@ -138,8 +159,20 @@ def test_verify_json_and_csv():
         assert json.dumps(parsed, separators=(", ", ": ")) == line
     code, csv_out = invoke("verify", "--max-n", "3", "--csv")
     csv_lines = csv_out.strip().splitlines()
-    assert csv_lines[0].startswith("string,I,s1_strict")
+    header = csv_lines[0].split(",")
+    assert header[:3] == ["string", "I", "s1_strict"]
     assert len(csv_lines) == summary["rows"] + 2  # header + rows + summary
+    # each CSV row is its JSON row, field by field, under the same header
+    report = verify_classification(3, "relaxed", workers=1)
+    assert len(report.rows) == summary["rows"]
+    for row in report.rows:
+        for mode in ("strict", "relaxed"):
+            fields = row.to_json(mode)
+            assert list(fields) == header
+            cells = next(csv.reader([row.to_csv(mode)]))
+            assert len(cells) == len(fields)
+            for cell, value in zip(cells, fields.values()):
+                assert cell == (json.dumps(value) if isinstance(value, bool) else str(value))
 
 
 def test_verify_deterministic():
