@@ -20,11 +20,18 @@ candidate generator prunes on exact pairwise products with everything
 already assigned (new columns never meet older vectors, so partial
 products must land exactly).
 
-find_embedding and find_standard first apply a determinant certificate:
-n vectors realizing the Gram matrix Q make Q = -A A^T with A the square
-integer matrix of their coordinates, so |det Q| = det(A)^2 is a perfect
-square; when it is not, the answer is Exhausted without a search node.
-gram_order() reads |det Q| off values computed in O(n).
+find_embedding and find_standard first apply two certificates, each of
+which answers Exhausted without a search node.  n vectors realizing the
+Gram matrix Q make Q = -A A^T with A the square integer matrix of their
+coordinates, so |det Q| = det(A)^2 is a perfect square; gram_order()
+reads |det Q| off values computed in O(n).  When it is a square, the
+lattice L = (Z^n, P) with P = -Q sits in Z^n with index |det A|, so
+Z^n / L is a metabolizer of the discriminant form b(x, y) = x^T P^-1 y
+on G = Z^n / P Z^n: a subgroup of order sqrt|G| on which b vanishes
+(Casson-Gordon; Lisca 2007).  For the cyclic kinds G has two generators,
+discriminant_form() gives its relation matrix and form in O(n), and
+metabolizer_count() counts metabolizers prime by prime; a count of 0
+proves Exhausted.  A standard string has cyclic G, which always has one.
 
 The sweep driver verify_classification() runs both cyclic searches for
 every canonical string with an entry >= 3 and I <= 0 up to a given
@@ -41,7 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from multiprocessing import Pool
 
 from .chainstring import canonical_form, i_invariant, validate_chain
@@ -59,10 +66,12 @@ FOUND = "found"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-# what decided a search: the backtracking engine, or a non-square
-# Gram determinant (which proves Exhausted with zero nodes)
-SEARCH = "search"
+# what decided a search, in the order _search tries them: a non-square
+# Gram determinant, then a discriminant form without a metabolizer (both
+# prove Exhausted with zero nodes), then the backtracking engine
 DET_NONSQUARE = "det-nonsquare"
+NO_METABOLIZER = "no-metabolizer"
+SEARCH = "search"
 
 DEFAULT_BUDGET = 10**9
 
@@ -160,13 +169,241 @@ def gram_order(a, kind: str) -> int:
     return monodromy_matrix(a).trace + (2 if kind == NEGATIVE else -2)
 
 
+def discriminant_form(a, kind: str):
+    """The discriminant group G = Z^n / P Z^n of P = -Q for a cyclic kind,
+    on two generators: (R, (b11, b12, b22)).
+
+    G is Z^2 modulo the rows of the 2x2 relation matrix R, and b_ij / |det R|
+    mod 1 are the values of b(x, y) = x^T P^-1 y on the generators, up to
+    one sign common to all three.  For n >= 3 the generators are e_1 and
+    e_n: rows 1, ..., n-2 of P express e_2, ..., e_{n-1} through them with
+    continuant coefficients N(a_i..a_j) (the numerators of hj_eval), the
+    last two rows are R, and P^-1 on the generators is read off cofactors.
+    For n = 2, R = P.
+    """
+    targets = _target_gram(a, kind)
+    if kind == STANDARD or targets is None:
+        raise ValueError(f"no cyclic Gram matrix of kind {kind!r} for {tuple(a)}")
+    n = len(a)
+    if n == 2:
+        t = targets[(0, 1)]
+        return ((a[0], -t), (-t, a[1])), (a[1], t, a[0])
+    w = -targets[(0, n - 1)]  # the wraparound entry of P
+
+    def cont(i, j):  # N(a_i..a_j), 1 on an empty range
+        return hj_eval(a[i : j + 1]).p
+
+    R = (
+        (cont(0, n - 2), w * cont(1, n - 2) - 1),
+        (w - cont(0, n - 3), a[n - 1] - w * cont(1, n - 3)),
+    )
+    if abs(R[0][0] * R[1][1] - R[0][1] * R[1][0]) != gram_order(a, kind):
+        raise AssertionError(f"relation matrix of {tuple(a)} {kind} lost the determinant")
+    return R, (cont(1, n - 1), 1 - w * cont(1, n - 2), cont(0, n - 2))
+
+
+# Bounds of the metabolizer count: past them it answers None and the
+# search goes to the engine.  The Miller-Rabin bases below decide
+# primality for every n < _MR_LIMIT (Sorenson and Webster, 2015).
+_TRIAL_DIVISORS = 1000
+_RHO_STEPS = 1 << 16
+_SUBGROUP_CANDIDATES = 1 << 16
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """n > 37 odd passes the strong test to every base of _MR_BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int | None:
+    """A proper factor of the odd composite n by Pollard's rho, or None
+    after _RHO_STEPS steps."""
+    steps = 0
+    for c in range(1, 1 << 10):
+        x = y = 2
+        f = 1
+        while f == 1:
+            if steps == _RHO_STEPS:
+                return None
+            steps += 1
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            f = gcd(x - y, n)
+        if f != n:
+            return f
+    return None
+
+
+def _prime_factors(n: int):
+    """Yield each prime dividing n >= 1 once, as it is found (trial
+    divisors first, then the smaller part of each split), and None for
+    each factor that can neither be split within _RHO_STEPS nor
+    certified prime."""
+    for p in range(2, _TRIAL_DIVISORS):
+        if p * p > n:
+            break
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+    # every prime factor left is >= _TRIAL_DIVISORS, or n is prime
+    stack = [n] if n > 1 else []
+    found = set()
+    while stack:
+        m = stack.pop()
+        if m in found:
+            continue
+        if m < _TRIAL_DIVISORS**2 or _passes_miller_rabin(m):
+            if m >= _MR_LIMIT:
+                yield None
+            else:
+                found.add(m)
+                yield m
+            continue
+        f = _rho_factor(m)
+        if f is None:
+            yield None
+        else:
+            stack += sorted((f, m // f), reverse=True)  # the smaller part first
+
+
+def _smith_basis(R):
+    """(d1, d2, W) with d1 | d2 and G = Z^2 / rows(R) = Z/d1 f_1 + Z/d2 f_2,
+    where f_i is the class of the row W[i] (R nonsingular)."""
+    M = [list(R[0]), list(R[1])]
+    W = [[1, 0], [0, 1]]
+    while True:
+        if M[0][1]:
+            # a column operation E with (M00, M01) E = (g, 0); W <- E^-1 W
+            g, x, y = _ext_gcd(M[0][0], M[0][1])
+            u, v = M[0][0] // g, M[0][1] // g
+            M = [[x * r[0] + y * r[1], u * r[1] - v * r[0]] for r in M]
+            W = [[u * W[0][j] + v * W[1][j] for j in (0, 1)], [x * W[1][j] - y * W[0][j] for j in (0, 1)]]
+        elif M[1][0]:
+            # the row operation clearing M10; rows(R) keeps its span
+            g, x, y = _ext_gcd(M[0][0], M[1][0])
+            u, v = M[0][0] // g, M[1][0] // g
+            M = [[x * M[0][j] + y * M[1][j] for j in (0, 1)], [u * M[1][j] - v * M[0][j] for j in (0, 1)]]
+        elif M[1][1] % M[0][0]:
+            M[0][1] = M[1][1]  # add row 1 to row 0, then diagonalize again
+        else:
+            return abs(M[0][0]), abs(M[1][1]), W
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b) > 0, for (a, b) != (0, 0),
+    and y = 0 when a divides b (so a clearing step leaves zeros alone)."""
+    if a and b % a == 0:
+        return abs(a), 1 if a > 0 else -1, 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def metabolizer_count(R, form) -> int | None:
+    """The number of metabolizers of the discriminant form (R, form) of
+    discriminant_form: subgroups H with |H|^2 = |G| on which b vanishes.
+    None when a bound stops the count before some p-part shows none.
+
+    G and b split orthogonally into p-parts, so the count is a product
+    over primes, and the first p-part without a metabolizer makes it 0
+    (the rest of d1 is then not factored).  A cyclic p-part of square
+    order p^2e has exactly one, its subgroup of order p^e, so only the
+    primes of d1 are examined.  For odd p and
+    G_p = (Z/p)^2 the metabolizers are the isotropic lines of a
+    nondegenerate binary form over F_p: two if -det is a square mod p,
+    none otherwise.  Else the subgroups of order p^k in Z/p^e1 + Z/p^e2
+    (2k = e1 + e2) are enumerated as the lattices K of index p^k in Z^2
+    that contain p^e1 Z + p^e2 Z: K has the Hermite basis (p^s, y),
+    (0, p^t) with s + t = k, 0 <= y < p^t and p^t | y p^(e1 - s).
+    """
+    d1, d2, W = _smith_basis(R)
+    D = d1 * d2
+    b11, b12, b22 = form
+
+    def b(x, y):  # the form on two generator-coordinate rows, over D
+        return x[0] * (b11 * y[0] + b12 * y[1]) + x[1] * (b12 * y[0] + b22 * y[1])
+
+    count, complete = 1, True
+    for p in _prime_factors(d1):
+        if p is None:
+            complete = False
+            continue
+        e = []
+        for d in (d1, d2):
+            v = 0
+            while d % p == 0:
+                d, v = d // p, v + 1
+            e.append(v)
+        e1, e2 = e
+        # u_i = (d_i / p^e_i) f_i generate the p-part; the form on them
+        # has denominator p^(e1 + e2) once the prime-to-p part of D leaves
+        c = (d1 // p**e1, d2 // p**e2)
+        rest, mod = D // p ** (e1 + e2), p ** (e1 + e2)
+        N = [c[i] * c[j] * b(W[i], W[j]) for i, j in ((0, 0), (0, 1), (1, 1))]
+        if any(x % rest for x in N):
+            raise AssertionError("discriminant form values are not p-primary on the p-part")
+        n11, n12, n22 = (x // rest % mod for x in N)
+        if p > 2 and e1 == e2 == 1:
+            if n11 % p or n12 % p or n22 % p:
+                raise AssertionError("discriminant form values on (Z/p)^2 are not in (1/p)Z")
+            det = (n11 * n22 - n12 * n12) // (p * p) % p
+            if not det:
+                raise AssertionError("discriminant form is degenerate on its p-part")
+            found = 2 if pow(-det % p, (p - 1) // 2, p) == 1 else 0
+        elif (p ** (e1 + 1) - 1) // (p - 1) > _SUBGROUP_CANDIDATES:
+            complete = False
+            continue
+        else:
+            # with k - s = t and k >= e1, the divisibility reads
+            # p^(k - e1) | y, which leaves p^(e1 - s) lattices for each s
+            k = (e1 + e2) // 2
+            step = p ** (k - e1)
+            found = 0
+            for s in range(e1 + 1):
+                ps, pt = p**s, p ** (k - s)
+                if pt * pt * n22 % mod:
+                    continue
+                for y in range(0, pt, step):
+                    if (ps * ps * n11 + 2 * ps * y * n12 + y * y * n22) % mod == 0 and (
+                        ps * pt * n12 + y * pt * n22
+                    ) % mod == 0:
+                        found += 1
+        if not found:
+            return 0
+        count *= found
+    return count if complete else None
+
+
 def _search(a, kind, budget) -> SearchResult:
-    """The engine behind a determinant prefilter: a non-square |det Q|
-    proves Exhausted before any node is spent."""
+    """The engine behind two certificates that prove Exhausted before any
+    node is spent: a non-square |det Q|, then, for the cyclic kinds, a
+    discriminant form with no metabolizer."""
     t0 = time.perf_counter()
     if _target_gram(a, kind) is not None:
         if not is_square(gram_order(a, kind)):
             return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
+        if kind != STANDARD and metabolizer_count(*discriminant_form(a, kind)) == 0:
+            return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, NO_METABOLIZER)
     return _Engine(a, kind, budget).run()
 
 

@@ -330,10 +330,13 @@ def _match_s2b(s):
 
 
 def _match_s2c(s):
-    if s[0] < 3:
-        return
-    # (3+x, 2-run) blocks from s[0] on; an odd block count 2k+1 is required
-    blocks = cyclic_blocks(s)
+    if s[0] >= 3:
+        yield from _match_s2c_blocks(cyclic_blocks(s))
+
+
+def _match_s2c_blocks(blocks):
+    # the (3+x, 2-run) blocks of a rotation starting at an entry >= 3;
+    # an odd block count 2k+1 is required
     j = len(blocks)
     if j % 2 == 0:
         return
@@ -401,12 +404,23 @@ def _scan(a, tags, mode):
         return
     for flipped in (False, True):
         base = reverse(a) if flipped else a
+        # S2c reads the cyclic blocks, parsed once per orientation: the
+        # rotation to the t-th entry >= 3 starts at block t
+        blocks = cyclic_blocks(base) if "S2c" in tags else None
+        t = 0
         for k in range(len(a)):
             s = rotate(base, k)
             for tag in tags:
-                for params in _MATCHERS[tag](s):
+                if tag != "S2c":
+                    found = _MATCHERS[tag](s)
+                elif s[0] >= 3:
+                    found = _match_s2c_blocks(blocks[t:] + blocks[:t])
+                else:
+                    continue
+                for params in found:
                     if side_condition_holds(tag, params, mode):
                         yield Witness(tag, k, flipped, params)
+            t += s[0] >= 3
 
 
 def member(a, mode: str = "strict") -> list[Witness]:

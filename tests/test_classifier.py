@@ -32,7 +32,7 @@ from qball.classifier import (
     string_matrix,
 )
 from qball.contfrac import homology_order, is_square
-from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, SEARCH, find_embedding, gram_order
+from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, NO_METABOLIZER, SEARCH, find_embedding, gram_order
 from qball.families import enumerate_strings, mode_tag_sets, tags_of
 from qball.lattice import NEGATIVE, POSITIVE
 from conftest import hyperbolic_cycle_digitwise, random_string, s1a_square_order
@@ -583,6 +583,18 @@ def test_surgery_budget_rule_goldens(monkeypatch):
     for a, t, side in [((3, 3, 3, 3, 3, 3), -1, "negative"), ((2, 2, 2, 3), 2, "positive")]:
         got = classify_surgery(a, t).to_json()
         assert got == _golden_json(UNKNOWN, [(f"{side}-embedding-budget", detail)]), (a, t)
+
+
+def test_long_even_power_obstructed_without_search(monkeypatch):
+    # (3)^20 at t = -1: |det Q| = 15127^2 is a square, but the discriminant
+    # form has no metabolizer, so no search node is spent on a or its dual
+    monkeypatch.setattr(classifier, "_embedding_cache", {})
+    a = (3,) * 20
+    got = find_embedding(a, NEGATIVE)
+    assert (got.outcome, got.certificate, got.nodes) == (EXHAUSTED, NO_METABOLIZER, 0)
+    verdict = classify_surgery(a, -1)
+    assert verdict.status == NOT_BOUNDS
+    assert [r.rule for r in verdict.reasons] == ["negative-embedding-exhausted"]
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@ def test_embed():
     code, out = invoke("embed", "--a", "3,2,2", "--kind", "negative")
     payload = lines(out)[0]
     assert (payload["outcome"], payload["certificate"], payload["nodes"]) == ("exhausted", "det-nonsquare", 0)
+    code, out = invoke("embed", "--a", "2,2,5,2,2,5", "--kind", "negative")
+    payload = lines(out)[0]
+    assert (payload["outcome"], payload["certificate"], payload["nodes"]) == ("exhausted", "no-metabolizer", 0)
     code, out = invoke("embed", "--a", "2,2,2", "--kind", "standard")
     assert lines(out)[0]["outcome"] == "found"
 

@@ -15,6 +15,7 @@ from qball.embedsearch import (
     DET_NONSQUARE,
     EXHAUSTED,
     FOUND,
+    NO_METABOLIZER,
     SEARCH,
     THEOREM_GAP_STRINGS,
     _Engine,
@@ -274,19 +275,31 @@ def test_gram_determinant_is_homology_order():
 
 
 def test_prefilter_agrees_with_raw_search():
-    # every search the determinant certificate decides is also exhausted
-    # by the unfiltered engine; elsewhere the engine decides
-    fired = 0
+    # every search the determinant or the metabolizer certificate decides
+    # is also exhausted by the unfiltered engine; elsewhere the engine
+    # decides
+    fired = {DET_NONSQUARE: 0, NO_METABOLIZER: 0}
     for a in sweep_strings(6):
         for kind in (NEGATIVE, POSITIVE):
             got = find_embedding(a, kind)
-            if got.certificate == DET_NONSQUARE:
-                fired += 1
+            if got.certificate in fired:
+                fired[got.certificate] += 1
                 assert (got.outcome, got.nodes) == (EXHAUSTED, 0), (a, kind)
                 assert _Engine(a, kind, DEFAULT_BUDGET).run().outcome == EXHAUSTED, (a, kind)
             else:
                 assert got.certificate == SEARCH, (a, kind)
-    assert fired == 273
+    assert fired == {DET_NONSQUARE: 273, NO_METABOLIZER: 9}
+    # one length further, every square-determinant search: the certificate
+    # never fires where the raw engine finds a subset
+    fired = 0
+    for a in sweep_strings(7):
+        for kind in (NEGATIVE, POSITIVE):
+            got = find_embedding(a, kind)
+            if got.certificate != DET_NONSQUARE:
+                raw = _Engine(a, kind, DEFAULT_BUDGET).run()
+                assert raw.outcome == got.outcome, (a, kind)
+                fired += got.certificate == NO_METABOLIZER
+    assert fired == 15
     fired = 0
     for n in range(2, 6):
         for b in itertools.product(range(2, 6), repeat=n):
