@@ -83,10 +83,19 @@ def reverse(a) -> tuple[int, ...]:
 
 
 def canonical_form(a) -> tuple[int, ...]:
-    """Lexicographic minimum over all rotations of a and of reverse(a)."""
+    """Lexicographic minimum over all rotations of a and of reverse(a).
+
+    The rotations are the length-n slices of a + a, and those of the
+    reverse the slices of its reversal; the minimum starts at a minimal
+    entry, so only the slices starting at one are compared.
+    """
     a = validate_chain(a)
-    r = reverse(a)
-    return min(min(rotate(a, k), rotate(r, k)) for k in range(len(a)))
+    n = len(a)
+    low = min(a)
+    doubled = a + a
+    return min(
+        s[k : k + n] for s in (doubled, doubled[::-1]) for k in range(n) if s[k] == low
+    )
 
 
 def equivalent(a, b) -> bool:

@@ -30,9 +30,12 @@ and one rule sequence serves both parities:
 Everything is decided exactly; a verdict is "Bounds", "NotBounds" or
 "Unknown" and carries the ordered list of rules that produced it.
 
-a and d are each scanned once; the decision reads only their tag sets,
-and the strict-mode boundary comes from comparing the strict and the
-relaxed tag sets of that one scan.
+a and d are each scanned once per process, and that scan is shared by
+all twists and both modes: a module memo files one record per string
+(canonical form, cyclic dual, strict and relaxed tag sets, embedding
+answers by kind).  The decision reads only the tag sets, and the
+strict-mode boundary comes from comparing the strict and the relaxed
+tag sets of that one scan.
 
 Non-membership obstructions are never taken on faith: a NotBounds that
 rests on "no embedding exists" is certified by actually running the
@@ -351,23 +354,56 @@ def classify_torus_bundle(mc: MonodromyClass) -> Verdict:
 # chain-link surgeries
 
 
-def _embedding_exists(a, kind) -> bool | None:
-    """Memoized existence of a cyclic subset; None if out of budget."""
-    if len(a) == 1:  # one 2-handle: the prefilter's square test is exact
-        return is_square(gram_order(a, kind))
-    key = (canonical_form(a), kind)
-    result = _embedding_cache.get(key)
-    if result is None:
-        got = find_embedding(key[0], kind, budget=OBSTRUCTION_BUDGET)
-        result = None if got.outcome == BUDGET_EXCEEDED else got.found
-        _embedding_cache[key] = result
-    return result
+class _StringRecord:
+    """What the surgery rules read about one string, up to rotation and
+    reversal: its canonical form, its cyclic dual, its tag sets by mode
+    from one membership scan, and embedding answers by kind as they are
+    asked for."""
+
+    __slots__ = ("canonical", "dual", "tags", "embeds")
+
+    def __init__(self, canonical):
+        self.canonical = canonical
+        self.dual = cyclic_dual(canonical)
+        strict, relaxed = mode_tag_sets(canonical)
+        self.tags = {"strict": strict, "relaxed": relaxed}
+        self.embeds: dict = {}
 
 
-_embedding_cache: dict = {}
+def _record(a) -> _StringRecord:
+    """The memoized record of a (entries >= 3 somewhere), filed under a
+    as given and under its canonical form."""
+    rec = _string_cache.get(a)
+    if rec is None:
+        c = canonical_form(a)
+        rec = _string_cache.get(c)
+        if rec is None:
+            rec = _string_cache[c] = _StringRecord(c)
+        _string_cache[a] = rec
+    return rec
 
 
-def _obstructed(a, d, side) -> Verdict | None:
+# string -> _StringRecord, for the life of the process: every twist and
+# both modes read one record per string
+_string_cache: dict = {}
+
+
+def _embedding_exists(rec, kind) -> bool | None:
+    """Existence of a cyclic subset for the record's string, memoized in
+    the record; None if out of budget.  The search runs on the canonical
+    form, so every representative of the orbit shares one answer."""
+    embeds = rec.embeds
+    if kind not in embeds:
+        c = rec.canonical
+        if len(c) == 1:  # one 2-handle: the prefilter's square test is exact
+            embeds[kind] = is_square(gram_order(c, kind))
+        else:
+            got = find_embedding(c, kind, budget=OBSTRUCTION_BUDGET)
+            embeds[kind] = None if got.outcome == BUDGET_EXCEEDED else got.found
+    return embeds[kind]
+
+
+def _obstructed(a, rec_a, rec_d, side) -> Verdict | None:
     """Certified non-existence verdict, or None when the search is silent.
 
     A surgery that bounds forces an embedding of the definite filling
@@ -375,9 +411,10 @@ def _obstructed(a, d, side) -> Verdict | None:
     exhausted searches prove NotBounds outright.  A found embedding or
     an exhausted budget cannot conclude.
     """
+    d = rec_a.dual
     kind = f"{side}_cyclic"
-    got_a = _embedding_exists(a, kind)
-    got_d = _embedding_exists(d, kind)
+    got_a = _embedding_exists(rec_a, kind)
+    got_d = _embedding_exists(rec_d, kind)
     if got_a is False and got_d is False:
         return _verdict(
             NOT_BOUNDS,
@@ -425,15 +462,14 @@ def classify_surgery(a, t: int, mode: str = "strict") -> Verdict:
             Reason("all-two-even", f"no rule covers even twisting t = {t} here"),
         )
 
-    d = cyclic_dual(a)
-    strict_a, relaxed_a = mode_tag_sets(a)
-    strict_d, relaxed_d = mode_tag_sets(d)
+    rec_a = _record(a)
+    rec_d = _record(rec_a.dual)
     if mode == "relaxed":
-        return _decide(a, d, t, relaxed_a, relaxed_d)
-    verdict = _decide(a, d, t, strict_a, strict_d)
-    if (strict_a, strict_d) == (relaxed_a, relaxed_d):
+        return _decide(a, t, rec_a, rec_d, "relaxed")
+    verdict = _decide(a, t, rec_a, rec_d, "strict")
+    if all(rec.tags["strict"] == rec.tags["relaxed"] for rec in (rec_a, rec_d)):
         return verdict
-    relaxed = _decide(a, d, t, relaxed_a, relaxed_d)
+    relaxed = _decide(a, t, rec_a, rec_d, "relaxed")
     if relaxed.status == verdict.status:
         return verdict
     note = Reason(
@@ -444,9 +480,10 @@ def classify_surgery(a, t: int, mode: str = "strict") -> Verdict:
     return Verdict(UNKNOWN, verdict.reasons + (note,) + relaxed.reasons)
 
 
-def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
-    """The verdict for a hyperbolic Y(a, t) from the family tags of a and
-    of its cyclic dual d; the caller's choice of tag sets is the mode."""
+def _decide(a, t: int, rec_a, rec_d, mode) -> Verdict:
+    """The verdict for a hyperbolic Y(a, t) from the records of a and of
+    its cyclic dual d, reading the tag sets of mode."""
+    d = rec_a.dual
     if len(a) == 1 and t in (0, -1):
         m = a[0]
         if t == 0:
@@ -468,8 +505,8 @@ def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
         )
     if t == 1:
         # reversing orientation turns Y(a, 1) into Y(d, -1); the dual of
-        # d is a up to rotation and reversal, which tag sets ignore
-        v = _decide(d, cyclic_dual(d), -1, tags_d, tags_a)
+        # d is a up to rotation and reversal, so a's record serves it
+        v = _decide(d, -1, rec_d, rec_a, mode)
         return Verdict(
             v.status,
             (Reason("mirror", f"orientation reversal to Y({d}, -1)"),) + v.reasons,
@@ -479,6 +516,7 @@ def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
         parity, family, side = "even", S2_TAGS, "positive"
     else:
         parity, family, side = "odd", S1_TAGS, "negative"
+    tags_a, tags_d = rec_a.tags[mode], rec_d.tags[mode]
     if t in (0, -1):
         found = tags_a.intersection(family)
         if found:
@@ -522,7 +560,7 @@ def _decide(a, d, t: int, tags_a, tags_d) -> Verdict:
     # The intersection form of the bounding handlebody depends only on the
     # parity of t, so exhausted embedding searches obstruct the whole
     # parity class at once.
-    obstructed = _obstructed(a, d, side)
+    obstructed = _obstructed(a, rec_a, rec_d, side)
     if obstructed is not None:
         return obstructed
     name = family[0][:2]  # "S2" or "S1"

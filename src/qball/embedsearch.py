@@ -206,7 +206,8 @@ def discriminant_form(a, kind: str):
 # search goes to the engine.  The Miller-Rabin bases below decide
 # primality for every n < _MR_LIMIT (Sorenson and Webster, 2015).
 _TRIAL_DIVISORS = 1000
-_RHO_STEPS = 1 << 16
+_RHO_STEPS = 3 << 16  # map evaluations per rho run, over all constants c
+_RHO_BATCH = 128
 _SUBGROUP_CANDIDATES = 1 << 16
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
@@ -231,20 +232,42 @@ def _passes_miller_rabin(n: int) -> bool:
 
 
 def _rho_factor(n: int) -> int | None:
-    """A proper factor of the odd composite n by Pollard's rho, or None
-    after _RHO_STEPS steps."""
-    steps = 0
+    """A proper factor of the odd composite n by Pollard's rho with
+    Brent's cycle, or None after _RHO_STEPS map evaluations.
+
+    The distances x - y are multiplied together _RHO_BATCH at a time and
+    tested with one gcd; a batch whose product shares all of n is walked
+    again one gcd per step from its start.
+    """
+    evals = 0
     for c in range(1, 1 << 10):
-        x = y = 2
-        f = 1
+        y, q, f, r = 2, 1, 1, 1
         while f == 1:
-            if steps == _RHO_STEPS:
+            # x is saved and compared with the r points after the next r
+            if evals + r >= _RHO_STEPS:
                 return None
-            steps += 1
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            f = gcd(x - y, n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            evals += r
+            k = 0
+            while k < r and f == 1:
+                if evals == _RHO_STEPS:
+                    return None
+                start, steps = y, min(_RHO_BATCH, r - k, _RHO_STEPS - evals)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                evals += steps
+                f = gcd(q, n)
+                k += steps
+            r *= 2
+        if f == n:
+            f = 1
+            y = start
+            while f == 1:
+                y = (y * y + c) % n
+                f = gcd(x - y, n)
         if f != n:
             return f
     return None
@@ -253,8 +276,8 @@ def _rho_factor(n: int) -> int | None:
 def _prime_factors(n: int):
     """Yield each prime dividing n >= 1 once, as it is found (trial
     divisors first, then the smaller part of each split), and None for
-    each factor that can neither be split within _RHO_STEPS nor
-    certified prime."""
+    each factor that can neither be split within _RHO_STEPS map
+    evaluations nor certified prime."""
     for p in range(2, _TRIAL_DIVISORS):
         if p * p > n:
             break

@@ -402,14 +402,16 @@ def _scan(a, tags, mode):
     tags = [tag for tag in tags if _I_BY_TAG[tag] == i]
     if not tags:
         return
+    n = len(a)
     for flipped in (False, True):
         base = reverse(a) if flipped else a
         # S2c reads the cyclic blocks, parsed once per orientation: the
         # rotation to the t-th entry >= 3 starts at block t
         blocks = cyclic_blocks(base) if "S2c" in tags else None
+        doubled = base + base  # rotation k is the slice at k
         t = 0
-        for k in range(len(a)):
-            s = rotate(base, k)
+        for k in range(n):
+            s = doubled[k : k + n]
             for tag in tags:
                 if tag != "S2c":
                     found = _MATCHERS[tag](s)

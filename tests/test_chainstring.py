@@ -51,6 +51,31 @@ def test_canonical_form_is_orbit_constant():
             assert canonical_form(s) == cf
 
 
+def test_canonical_form_long_strings(rng):
+    # only slices starting at a minimal entry are compared, so strings
+    # with many tied minima (periodic ones, and periodic ones with one
+    # entry changed) are where a wrong tie-break would show
+    periods = [(2, 3), (2, 2, 3, 2, 3), (3,), (2, 4), (3, 2, 2, 4, 2), (2, 2, 2, 3, 2)]
+    cases = []
+    for period in periods:
+        for k in (1, 2, 7, 200 // len(period)):
+            cases.append(period * k)
+    for _ in range(40):
+        n = rng.randint(1, 200)
+        cases.append(tuple(rng.choice((2, 2, 2, 3, 4, 7)) for _ in range(n)))
+    for base in list(cases):
+        a = list(base)
+        a[rng.randrange(len(a))] += rng.randint(1, 2)
+        cases.append(tuple(a))
+    for a in cases:
+        b = rotate(a, rng.randrange(len(a)))
+        if rng.random() < 0.5:
+            b = reverse(b)
+        want = min(dihedral_orbit(a))
+        assert canonical_form(a) == want, a
+        assert canonical_form(b) == want, a
+
+
 def test_equivalent():
     assert equivalent((3, 2), (2, 3))
     assert equivalent((3, 2, 2, 3, 5), (5, 3, 2, 2, 3))

@@ -8,7 +8,7 @@ from math import isqrt
 
 import pytest
 
-from qball import classifier
+from qball import classifier, families
 from qball.chainstring import canonical_form, cyclic_dual, reverse, rotate
 from qball.classifier import (
     BOUNDS,
@@ -578,7 +578,7 @@ def test_surgery_budget_rule_goldens(monkeypatch):
     # a zero node budget turns every obstruction search past length 1
     # into the budget Unknown; a fresh memo keeps those answers local
     monkeypatch.setattr(classifier, "OBSTRUCTION_BUDGET", 0)
-    monkeypatch.setattr(classifier, "_embedding_cache", {})
+    monkeypatch.setattr(classifier, "_string_cache", {})
     detail = "the obstruction search exceeded its node budget"
     for a, t, side in [((3, 3, 3, 3, 3, 3), -1, "negative"), ((2, 2, 2, 3), 2, "positive")]:
         got = classify_surgery(a, t).to_json()
@@ -588,13 +588,53 @@ def test_surgery_budget_rule_goldens(monkeypatch):
 def test_long_even_power_obstructed_without_search(monkeypatch):
     # (3)^20 at t = -1: |det Q| = 15127^2 is a square, but the discriminant
     # form has no metabolizer, so no search node is spent on a or its dual
-    monkeypatch.setattr(classifier, "_embedding_cache", {})
+    monkeypatch.setattr(classifier, "_string_cache", {})
     a = (3,) * 20
     got = find_embedding(a, NEGATIVE)
     assert (got.outcome, got.certificate, got.nodes) == (EXHAUSTED, NO_METABOLIZER, 0)
     verdict = classify_surgery(a, -1)
     assert verdict.status == NOT_BOUNDS
     assert [r.rule for r in verdict.reasons] == ["negative-embedding-exhausted"]
+
+
+def _memo_queries(max_len):
+    # each string as enumerated (canonical), then a rotated reversal
+    for a in enumerate_strings(max_len, 0):
+        b = reverse(rotate(a, len(a) // 2 + 1))
+        for t in range(-3, 4):
+            for mode in ("strict", "relaxed"):
+                yield a, t, mode
+                yield b, t, mode
+
+
+def test_string_memo_answers_like_a_cleared_memo(monkeypatch):
+    # the details quote the string as given, so a representative must not
+    # pick up the wording of an earlier query of its orbit
+    monkeypatch.setattr(classifier, "_string_cache", {})
+    queries = list(_memo_queries(7))
+    warm = [classify_surgery(*q).to_json() for q in queries]
+    for q, got in zip(queries, warm):
+        classifier._string_cache.clear()
+        assert classify_surgery(*q).to_json() == got, q
+
+
+def test_string_memo_scans_each_orbit_once(monkeypatch):
+    monkeypatch.setattr(classifier, "_string_cache", {})
+    scanned = []
+    real_member = families.member
+
+    def counting_member(a, mode="strict"):
+        scanned.append(tuple(a))
+        return real_member(a, mode)
+
+    monkeypatch.setattr(families, "member", counting_member)
+    queried = set()
+    for a, t, mode in _memo_queries(6):
+        classify_surgery(a, t, mode)
+        if max(a) >= 3:
+            queried |= {canonical_form(a), cyclic_dual(a)}
+    assert len(scanned) == len(set(scanned)) == len(queried)
+    assert set(scanned) == queried
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ embedsearch.discriminant_form beyond the definition of Q.
 from fractions import Fraction
 from math import gcd, isqrt
 
+from qball import embedsearch
 from qball.chainstring import cyclic_dual
 from qball.contfrac import is_square
 from qball.embedsearch import (
@@ -185,3 +186,46 @@ def test_prime_factors_each_prime_once():
     # 2^89 - 1 is prime but past the deterministic Miller-Rabin range:
     # it is reported as a factor the count cannot use
     assert list(_prime_factors(3 * (2**89 - 1))) == [3, None]
+
+
+def _floyd_rho_factor(n):
+    # the oracle: Floyd's cycle, one gcd per step, 2^16 steps over all c
+    steps = 0
+    for c in range(1, 1 << 10):
+        x = y = 2
+        f = 1
+        while f == 1:
+            if steps == 1 << 16:
+                return None
+            steps += 1
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            f = gcd(x - y, n)
+        if f != n:
+            return f
+    return None
+
+
+def _square_d1s(strings):
+    for a in strings:
+        for kind in (NEGATIVE, POSITIVE):
+            if is_square(gram_order(a, kind)):
+                R, _form = discriminant_form(a, kind)
+                yield gcd(gcd(R[0][0], R[0][1]), gcd(R[1][0], R[1][1]))
+
+
+def test_brent_rho_splits_what_floyd_splits(monkeypatch):
+    # every d1 of a square-determinant search on sweep_strings(8), and of
+    # (3,2,2,4,2)^64 and its dual, whose 11-digit prime rho must split
+    long = (3, 2, 2, 4, 2) * 64
+    d1s = list(_square_d1s(sweep_strings(8))) + list(_square_d1s([long, cyclic_dual(long)]))
+
+    def factored(d):
+        got = list(_prime_factors(d))
+        return sorted(p for p in got if p is not None), got.count(None)
+
+    fast = [factored(d) for d in d1s]
+    monkeypatch.setattr(embedsearch, "_rho_factor", _floyd_rho_factor)
+    assert fast == [factored(d) for d in d1s]
+    assert any(p > 10**10 for primes, _ in fast for p in primes)
