@@ -26,8 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj, out):
-    json.dump(obj, out, separators=(", ", ": "))
-    out.write("\n")
+    # json.dumps runs the C encoder; json.dump to a stream does not
+    out.write(json.dumps(obj) + "\n")
 
 
 class _LazyFile:

@@ -132,6 +132,14 @@ def monodromy_matrix(a) -> MonodromyMatrix:
     return MonodromyMatrix(full.p, full.q, head.p, head.q)
 
 
+def cyclic_orders(a) -> tuple[int, int]:
+    """(tr(M_a) + 2, tr(M_a) - 2): |H_1| of the odd and of the even
+    surgery on a, which are also |det Q| of its negative and its positive
+    cyclic Gram matrices.  The one place the trace becomes an order."""
+    trace = monodromy_matrix(a).trace
+    return trace + 2, trace - 2
+
+
 def torsion_order(a, sign: int) -> int:
     """|Tor H_1| of the bundle with monodromy sign*A(a), sign in {+1, -1}.
 
@@ -140,12 +148,12 @@ def torsion_order(a, sign: int) -> int:
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    m = monodromy_matrix(a)
-    if m.trace <= 2:
+    odd, even = cyclic_orders(a)
+    if even <= 0:
         raise NonHyperbolicError(
-            f"string {tuple(a)} has trace {m.trace} <= 2 (not hyperbolic)"
+            f"string {tuple(a)} has trace {even + 2} <= 2 (not hyperbolic)"
         )
-    return m.trace - 2 if sign > 0 else m.trace + 2
+    return even if sign > 0 else odd
 
 
 def homology_order(a, parity: str) -> int:

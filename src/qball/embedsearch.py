@@ -13,7 +13,14 @@ lattice (signed permutations of coordinates): basis columns are brought
 into first-touch order along the assignment, the first use of each new
 column is positive, and the new columns a single vector introduces
 carry non-increasing coefficients.  Any solution can be put in this
-form by an automorphism, so Exhausted answers are complete.
+form by an automorphism, so Exhausted answers are complete.  Within a
+vector, the used columns fall into classes of columns with equal entries
+on every placed vector; since each column's first use is positive, the
+permutations inside the classes make up the whole stabilizer of the
+placed vectors, and only coefficients non-decreasing along each class
+are tried.  This keeps the first solution of the unreduced order: had it
+a larger coefficient before a smaller one in some class, swapping the
+two columns would give a canonical solution the search meets earlier.
 
 Vectors with square -a have all coordinates bounded by isqrt(a); the
 candidate generator prunes on exact pairwise products with everything
@@ -48,11 +55,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt
 from multiprocessing import Pool
 
 from .chainstring import canonical_form, i_invariant, validate_chain
-from .contfrac import hj_eval, is_square, monodromy_matrix
+from .contfrac import cyclic_orders, hj_eval, is_square
 from .families import (
     EXCEPTIONAL_TAG,
     S1_TAGS,
@@ -166,7 +174,8 @@ def gram_order(a, kind: str) -> int:
     homology orders of the odd and the even surgeries on a."""
     if kind == STANDARD:
         return hj_eval(a).p
-    return monodromy_matrix(a).trace + (2 if kind == NEGATIVE else -2)
+    odd, even = cyclic_orders(a)
+    return odd if kind == NEGATIVE else even
 
 
 def discriminant_form(a, kind: str):
@@ -470,6 +479,13 @@ class _Engine:
             for j in range(used - 1, -1, -1):
                 acc[j] = acc[j + 1] + v[j] * v[j]
             suffix.append(acc)
+        # prev[j]: the last column before j with the same entries on every
+        # placed vector (-1 if none); swapping the two fixes all of them,
+        # so only coefficients non-decreasing along a class are tried
+        prev, last = [], {}
+        for j, column in enumerate(islice(zip(*vecs), used)):
+            prev.append(last.get(column, -1))
+            last[column] = j
 
         coeffs = [0] * used
 
@@ -486,7 +502,8 @@ class _Engine:
                     yield tuple(v), used + len(parts)
                 return
             bound = isqrt(mass_left)
-            for c in range(-bound, bound + 1):
+            low = -bound if prev[j] < 0 else max(-bound, coeffs[prev[j]])
+            for c in range(low, bound + 1):
                 ok = True
                 left = mass_left - c * c
                 for q in range(len(vecs)):

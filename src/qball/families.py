@@ -50,10 +50,15 @@ fixed I = sum(a_i - 3):
 
 I is invariant under rotation and reversal, so a scan runs only the
 matchers whose I equals I(a), and a string with I outside -4..0 needs no
-matcher at all.  Inside a matcher, the length rule pins the split: with
-the b part starting at s[lo], the rule reads
-k + sum(s_i - 2 for lo <= i < lo + k) = const, and the left side grows
-strictly with k, so at most one k per rotation reaches linear_dual.
+matcher at all.  A second gate reads the surgery orders: every S1 member
+and the exceptional string bound a rational ball at t = -1, and every S2
+member at t = 0, so |H_1| on that side, tr(M_a) + 2 or tr(M_a) - 2, is a
+square, and a scan drops the tags whose side order is not.
+
+Inside a matcher, the length rule pins the split: with the b part
+starting at s[lo], the rule reads k + sum(s_i - 2 for lo <= i < lo + k)
+= const, and the left side grows strictly with k, so at most one k per
+rotation reaches linear_dual.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from .chainstring import (
     rotate,
     validate_chain,
 )
+from .contfrac import cyclic_orders, is_square
 
 S1_TAGS = ("S1a", "S1b", "S1c", "S1d", "S1e")
 S2_TAGS = ("S2a", "S2b", "S2c", "S2d", "S2e")
@@ -393,13 +399,20 @@ def _scan(a, tags, mode):
     that meet the side condition of mode, in scan order.
 
     Every member of a family has the I of _I_BY_TAG, so only the tags
-    whose I equals I(a) are run, and a string that no tag admits costs
-    O(n).  A split matcher tries only the one split that meets
-    len(c) = 1 + sum(b_i - 2), so a scan is O(n^2); each (rotation,
-    reflection, tag) yields at most one witness.
+    whose I equals I(a) are run.  Every member also bounds a rational
+    ball on its side, so of those only the tags whose side order from
+    cyclic_orders is a square are run: tr + 2 for S1 and the exceptional
+    string, tr - 2 for S2.  A string that no tag admits costs O(n).  A
+    split matcher tries only the one split that meets len(c) = 1 +
+    sum(b_i - 2), so a scan is O(n^2); each (rotation, reflection, tag)
+    yields at most one witness.
     """
     i = i_invariant(a)
     tags = [tag for tag in tags if _I_BY_TAG[tag] == i]
+    if not tags:
+        return
+    odd, even = cyclic_orders(a)
+    tags = [tag for tag in tags if is_square(even if tag in S2_TAGS else odd)]
     if not tags:
         return
     n = len(a)

@@ -6,6 +6,7 @@ import pytest
 from qball.chainstring import linear_dual, reverse, rotate
 from qball.classifier import _ID, _S, NormalFormNotFound, _mat_mul, _t_pow
 from qball.contfrac import ContfracError, hj_eval
+from qball.embedsearch import _Engine, _square_partitions
 from qball.families import _MATCHERS, Witness, _unbump_both_ends, member, side_condition_holds
 
 
@@ -244,3 +245,60 @@ def member_raw(a, mode: str) -> list:
                         out.append(Witness(tag, k, flipped, params))
     out.sort(key=lambda w: (w.tag, w.rotation, w.reversed))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the engine without the class rule: every used column's coefficient runs
+# over the whole range; the oracle for _Engine's symmetry reduction among
+# columns that the placed vectors treat alike
+
+
+class OracleEngine(_Engine):
+    def _candidates(self, pos, placed, used):
+        """All canonical vectors for position pos against the placed ones.
+
+        placed: list of (position, vector) pairs; used: columns touched
+        so far.  Yields (vector, new_used).
+        """
+        n, a = self.n, self.a[pos]
+        want = [self._pair_target(pos, q) for q, _ in placed]
+        vecs = [v for _, v in placed]
+        suffix = []  # suffix[q][j] = mass of vecs[q] on columns >= j (< used)
+        for v in vecs:
+            acc = [0] * (used + 1)
+            for j in range(used - 1, -1, -1):
+                acc[j] = acc[j + 1] + v[j] * v[j]
+            suffix.append(acc)
+
+        coeffs = [0] * used
+
+        def rec(j, mass_left, partials):
+            if j == used:
+                for q in range(len(vecs)):
+                    if partials[q] != want[q]:
+                        return
+                free = n - used
+                for parts in _square_partitions(mass_left):
+                    if len(parts) > free:
+                        continue
+                    v = coeffs + list(parts) + [0] * (free - len(parts))
+                    yield tuple(v), used + len(parts)
+                return
+            bound = isqrt(mass_left)
+            for c in range(-bound, bound + 1):
+                ok = True
+                left = mass_left - c * c
+                for q in range(len(vecs)):
+                    p = partials[q] - c * vecs[q][j]
+                    d = want[q] - p
+                    if d * d > left * suffix[q][j + 1]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                coeffs[j] = c
+                new_partials = [partials[q] - c * vecs[q][j] for q in range(len(vecs))]
+                yield from rec(j + 1, left, new_partials)
+            coeffs[j] = 0
+
+        yield from rec(0, a, [0] * len(vecs))

@@ -29,7 +29,7 @@ from qball.embedsearch import (
 )
 from qball.families import enumerate_members, in_s1, in_s2
 from qball.lattice import NEGATIVE, POSITIVE, STANDARD, classify_subset, incidence_stats
-from conftest import assert_negative_cyclic_witness
+from conftest import OracleEngine, assert_negative_cyclic_witness
 
 
 def canonical_strings(n, max_entry, i_max=0):
@@ -229,6 +229,14 @@ def test_theorem_gap_string_witness():
     assert find_standard((3, 2, 3, 3, 3)).found
 
 
+def test_sweep_to_nine_reports_only_gap_strings():
+    # the whole n <= 9 sweep: every row agrees with the families except
+    # the gap strings, so no engine change has flipped a found row
+    rep = verify_classification(9, "relaxed")
+    assert len(rep.rows) == 4173
+    assert sorted(r.string for r in rep.mismatches()) == sorted(THEOREM_GAP_STRINGS)
+
+
 def _gram_det(a, targets) -> int:
     """Determinant of the Gram matrix with diagonal -a_i and off-diagonal
     entries from targets, by Bareiss fraction-free elimination (every
@@ -309,6 +317,41 @@ def test_prefilter_agrees_with_raw_search():
                 assert (got.outcome, got.nodes) == (EXHAUSTED, 0), b
                 assert _Engine(b, STANDARD, DEFAULT_BUDGET).run().outcome == EXHAUSTED, b
     assert fired == 1300
+
+
+def test_class_rule_keeps_the_first_witness():
+    # the engine tries coefficients non-decreasing along each class of
+    # columns that the placed vectors treat alike; against the engine
+    # without that rule it must give the same outcome and the same first
+    # witness, in no more nodes, on every engine search of the n <= 7
+    # sweep and on the three n = 8 exhaustions that reach the engine
+    searches = [
+        (a, kind)
+        for a in sweep_strings(7)
+        for kind in (NEGATIVE, POSITIVE)
+        if find_embedding(a, kind).certificate == SEARCH
+    ]
+    assert len(searches) == 89
+    exhaustions = [
+        ((2, 2, 2, 2, 2, 2, 2, 4), POSITIVE),
+        ((2, 2, 2, 2, 2, 2, 4, 4), NEGATIVE),
+        ((2, 2, 2, 2, 2, 4, 2, 6), POSITIVE),
+    ]
+    for a, kind in exhaustions:
+        got = find_embedding(a, kind)
+        assert (got.outcome, got.certificate) == (EXHAUSTED, SEARCH), (a, kind)
+    searches += exhaustions
+    fewer = 0
+    for a, kind in searches:
+        got = _Engine(a, kind, DEFAULT_BUDGET).run()
+        want = OracleEngine(a, kind, DEFAULT_BUDGET).run()
+        assert got.outcome == want.outcome, (a, kind)
+        if want.found:
+            assert got.witness.vectors == want.witness.vectors, (a, kind)
+        assert got.nodes <= want.nodes, (a, kind)
+        fewer += got.nodes < want.nodes
+    assert fewer > 0
+    assert _Engine((2, 2, 2, 2, 2, 4, 2, 6), POSITIVE, DEFAULT_BUDGET).run().nodes == 16
 
 
 def test_gram_det_pivots_and_zero():

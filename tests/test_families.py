@@ -1,6 +1,7 @@
 """Family deciders, enumerators, and the structural criteria."""
 
 import itertools
+import random
 
 import pytest
 from conftest import member_raw
@@ -14,11 +15,13 @@ from qball.chainstring import (
     reverse,
     rotate,
 )
+from qball.contfrac import cyclic_orders, is_square
 from qball.families import (
     _I_BY_TAG,
     _MATCHERS,
     ALL_TAGS,
     EXCEPTIONAL,
+    EXCEPTIONAL_TAG,
     MODES,
     S1_TAGS,
     S2_TAGS,
@@ -282,6 +285,48 @@ def test_i_table_matches_family_members():
             assert members, (tag, mode)
             for s in members:
                 assert i_invariant(s) == _I_BY_TAG[tag], (tag, mode, s)
+
+
+def _side_order(a, tag):
+    # |H_1| of the surgery on a that a member of tag's family bounds a
+    # rational ball at: tr + 2 (t = -1) for S1 and the exceptional
+    # string, tr - 2 (t = 0) for S2
+    odd, even = cyclic_orders(a)
+    return even if tag in S2_TAGS else odd
+
+
+def _draw_member(rng, tag):
+    """assemble params of one random member of tag, of length 13 to 60."""
+    while True:
+        if tag in ("S1e", "S2d"):
+            params = {"x": rng.randrange(8, 56)}
+        elif tag == "S2c":
+            k = rng.randrange(0, 8)
+            params = {"x": tuple(rng.randrange(0, 6) for _ in range(2 * k + 1))}
+        else:
+            b = tuple(rng.randrange(2, 7) for _ in range(rng.randrange(1, 12)))
+            params = {"b": b, "c": linear_dual(b)}
+            if tag == "S2b":
+                params["x"] = rng.randrange(0, 10)
+        if 13 <= len(assemble(tag, params)) <= 60:
+            return params
+
+
+def test_family_members_have_square_orders():
+    # the scan drops a tag whose side order is not a square; every member
+    # bounds a rational ball on its side, so none is dropped
+    for tag in ALL_TAGS:
+        for mode in MODES:
+            for s in enumerate_family(tag, 12, mode):
+                assert is_square(_side_order(s, tag)), (tag, mode, s)
+    rng = random.Random(0x5EED)
+    for tag in ALL_TAGS:
+        if tag == EXCEPTIONAL_TAG:
+            continue
+        for _ in range(25):
+            s = assemble(tag, _draw_member(rng, tag))
+            assert is_square(_side_order(s, tag)), (tag, s)
+            assert tag in tags_of(s, "relaxed"), (tag, s)
 
 
 def _witness_json(witnesses):
