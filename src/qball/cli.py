@@ -171,7 +171,7 @@ def cmd_verify(args, out):
                 wrote_header = True
             out.write(row.to_csv(args.mode) + "\n")
         else:
-            _emit(row.to_json(args.mode), out)
+            out.write(row.to_json_line(args.mode))
         out.flush()
 
     report = embedsearch.verify_classification(

@@ -122,22 +122,39 @@ def dual_bridge_fractions(b, x: int) -> tuple[Fraction, Fraction]:
     )
 
 
-def monodromy_matrix(a) -> MonodromyMatrix:
-    """Normal-form monodromy data of the coefficient string a."""
+def _continuants(a) -> tuple[int, int, int, int]:
+    """(p, q, s, r) of the normal-form monodromy of a, in one pass.
+
+    Reading a from the back, (p, q) runs the recurrence of hj_eval on
+    all of a and (s, r) the same recurrence on a_1, ..., a_{n-1}, started
+    one step later: both pairs obey u_k = a_k u_{k+1} - u_{k+2}, so only
+    their starting values differ.  The one implementation of the
+    monodromy matrix; qs - pr = 1 is checked on every call.
+    """
     a = tuple(a)
     if not a:
         raise ContfracError("empty coefficient string")
-    full = hj_eval(a)
-    head = hj_eval(a[:-1])
-    return MonodromyMatrix(full.p, full.q, head.p, head.q)
+    p, q, s, r = 1, 0, 0, -1
+    for x in reversed(a):
+        if x <= 1:
+            raise ContfracError(f"continued fraction entry {x} < 2")
+        p, q, s, r = x * p - q, p, x * s - r, s
+    if q * s - p * r != 1:
+        raise AssertionError(f"continuants of {a} lost qs - pr = 1")
+    return p, q, s, r
+
+
+def monodromy_matrix(a) -> MonodromyMatrix:
+    """Normal-form monodromy data of the coefficient string a."""
+    return MonodromyMatrix(*_continuants(a))
 
 
 def cyclic_orders(a) -> tuple[int, int]:
     """(tr(M_a) + 2, tr(M_a) - 2): |H_1| of the odd and of the even
     surgery on a, which are also |det Q| of its negative and its positive
     cyclic Gram matrices.  The one place the trace becomes an order."""
-    trace = monodromy_matrix(a).trace
-    return trace + 2, trace - 2
+    p, _, _, r = _continuants(a)
+    return p - r + 2, p - r - 2
 
 
 def torsion_order(a, sign: int) -> int:

@@ -393,6 +393,9 @@ _MATCHERS = {
     EXCEPTIONAL_TAG: _match_exceptional,
 }
 
+# the tags of each I, in _MATCHERS order
+_TAGS_BY_I = {i: tuple(tag for tag in _MATCHERS if _I_BY_TAG[tag] == i) for i in set(_I_BY_TAG.values())}
+
 
 def _scan(a, tags, mode):
     """Witnesses of the given template tags over the dihedral orbit of a
@@ -407,8 +410,7 @@ def _scan(a, tags, mode):
     sum(b_i - 2), so a scan is O(n^2); each (rotation, reflection, tag)
     yields at most one witness.
     """
-    i = i_invariant(a)
-    tags = [tag for tag in tags if _I_BY_TAG[tag] == i]
+    tags = [tag for tag in _TAGS_BY_I.get(i_invariant(a), ()) if tag in tags]
     if not tags:
         return
     odd, even = cyclic_orders(a)
@@ -474,11 +476,11 @@ def in_family(a, tag: str, mode: str = "strict") -> bool:
 
 
 def in_s1(a, mode: str = "strict") -> bool:
-    return bool(tags_of(a, mode) & set(S1_TAGS))
+    return not tags_of(a, mode).isdisjoint(S1_TAGS)
 
 
 def in_s2(a, mode: str = "strict") -> bool:
-    return bool(tags_of(a, mode) & set(S2_TAGS))
+    return not tags_of(a, mode).isdisjoint(S2_TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +546,35 @@ def enumerate_strings(max_len: int, i_max: int = 0):
     Yields in order of increasing length, lexicographically within each
     length; a string is emitted iff it equals its own canonical form, so
     every dihedral orbit appears exactly once.
+
+    A canonical string is the least of its rotations, that is, a
+    necklace, and every prefix of a necklace is a prenecklace.  So only
+    prenecklaces are extended, as in the Fredricksen-Kessler-Maiorana
+    algorithm (in the constant-amortized-time form of Ruskey, Savage and
+    Wang, 1992): with p the period of the longest Lyndon prefix, entry
+    t is at least entry t - p, equality keeps p, and a larger entry
+    makes the prefix Lyndon (p = t + 1).  A full string is a necklace
+    iff p divides its length, and only necklaces reach the canonical
+    form test, which also compares the reversal.  Extending each prefix
+    by increasing entries keeps the lexicographic order.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
 
-    def fill(prefix, left, n):
-        if len(prefix) == n:
-            if max(prefix) >= 3 and prefix == canonical_form(prefix):
+    def fill(prefix, p, left, n):
+        t = len(prefix)
+        if t == n:
+            if n % p == 0 and max(prefix) >= 3 and prefix == canonical_form(prefix):
                 yield prefix
             return
-        for extra in range(left + 1):
-            yield from fill(prefix + (2 + extra,), left - extra, n)
+        low = prefix[t - p] if t else 2
+        for x in range(low, left + 3):  # x spends x - 2 of the budget
+            yield from fill(prefix + (x,), p if x == low else t + 1, left - x + 2, n)
 
     for n in range(1, max_len + 1):
         budget = n + i_max  # total of (a_i - 2) allowed by I <= i_max
         if budget >= 1:
-            yield from fill((), budget, n)
+            yield from fill((), 1, budget, n)
 
 
 def dual_pairs(max_total: int):

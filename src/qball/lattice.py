@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as QQ
 from functools import partial
+from operator import mul
 
 from .chainstring import canonical_form
 
@@ -53,7 +54,18 @@ def dot(v: Vector, w: Vector) -> int:
 
 
 def gram(vectors) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(dot(v, w) for w in vectors) for v in vectors)
+    """The matrix of pairings of vectors of one length; each pair is
+    multiplied once and mirrored."""
+    vectors = tuple(vectors)
+    if len({len(v) for v in vectors}) > 1:
+        raise LatticeError("Gram matrix of vectors of different lengths")
+    n = len(vectors)
+    rows = [[0] * n for _ in range(n)]
+    for i, v in enumerate(vectors):
+        row = rows[i]
+        for j in range(i, n):
+            row[j] = rows[j][i] = -sum(map(mul, v, vectors[j]))
+    return tuple(map(tuple, rows))
 
 
 def _rank(vectors) -> int:

@@ -1,6 +1,7 @@
 """The qball command: output formats, exit codes, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -34,19 +35,27 @@ def test_dual():
     assert lines(out) == [{"dual": ""}]
 
 
-def test_module_runs_the_command():
-    # an uninstalled checkout runs the command as python -m qball.cli
+def _checkout_python(*argv):
+    """Run a fresh interpreter with the checkout's src on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "qball.cli", "dual", "--cyclic", "3,2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_runs_the_command():
+    # an uninstalled checkout runs the command as python -m qball.cli
+    done = _checkout_python("-m", "qball.cli", "dual", "--cyclic", "3,2")
     assert done.returncode == 0, done.stderr
     assert lines(done.stdout) == [{"dual": "4"}]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a sweep with workers > 1 needs a process pool; importing the
+    # package must not pay for the multiprocessing import
+    done = _checkout_python("-c", "import sys, qball; print('multiprocessing' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_classify_surgery_exit_codes():
@@ -176,6 +185,21 @@ def test_verify_json_and_csv():
             assert len(cells) == len(fields)
             for cell, value in zip(cells, fields.values()):
                 assert cell == (json.dumps(value) if isinstance(value, bool) else str(value))
+
+
+def test_verify_row_line_is_the_encoder_output():
+    # a row formats its own JSON line: byte for byte what json.dumps makes
+    # of to_json, in both modes, for every row of a sweep and for outcomes
+    # and sizes the sweep does not reach
+    rows = verify_classification(7, "relaxed", workers=1).rows
+    assert {r.neg for r in rows} == {"found", "exhausted"}
+    rows += [
+        dataclasses.replace(rows[0], neg="budget_exceeded", nodes=10**12, ms=12345.678),
+        dataclasses.replace(rows[-1], pos="budget_exceeded", ms=1e-05),
+    ]
+    for row in rows:
+        for mode in ("strict", "relaxed"):
+            assert row.to_json_line(mode) == json.dumps(row.to_json(mode)) + "\n"
 
 
 def test_verify_deterministic():

@@ -15,6 +15,7 @@ from qball.contfrac import (
     ContfracError,
     Fraction,
     NonHyperbolicError,
+    cyclic_orders,
     dual_bridge_fractions,
     hj_eval,
     hj_expand,
@@ -161,6 +162,30 @@ def test_monodromy_matches_matrix_product():
     for _ in range(3000):
         s = tuple(rnd.randrange(2, 10) for _ in range(rnd.randrange(6, 9)))
         assert monodromy_matrix(s).matrix() == oracle_matrix(s)
+
+
+def test_cyclic_orders_match_matrix_product_on_long_strings():
+    # the trace from the one continuant pass against the explicit product,
+    # on random strings up to length 200 (entries up to 40, so hundreds
+    # of digits)
+    import random
+
+    rnd = random.Random(30)
+    for _ in range(400):
+        s = tuple(rnd.randrange(2, rnd.choice((4, 8, 41))) for _ in range(rnd.randrange(1, 201)))
+        m = oracle_matrix(s)
+        trace = m[0][0] + m[1][1]
+        assert cyclic_orders(s) == (trace + 2, trace - 2), s
+        assert cyclic_orders(list(s)) == cyclic_orders(s)
+
+
+def test_cyclic_orders_reject_bad_strings():
+    with pytest.raises(ContfracError):
+        cyclic_orders(())
+    with pytest.raises(ContfracError, match="entry 1 < 2"):
+        cyclic_orders((3, 1, 2))
+    with pytest.raises(ContfracError):
+        monodromy_matrix((0,))
 
 
 def test_torsion_order_golden():

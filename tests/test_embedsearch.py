@@ -184,7 +184,7 @@ def test_verify_streams_rows_with_workers(tmp_path, monkeypatch):
         row_for=embedsearch._row_for,
     )
     monkeypatch.setattr(embedsearch, "_row_for", _gated_row)
-    monkeypatch.setattr(embedsearch, "Pool", multiprocessing.get_context("fork").Pool)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
     last_done_at_first_row = []
 
     def callback(row):

@@ -209,20 +209,26 @@ def test_palindrome_criterion_matches_membership():
 
 
 def brute_force_strings(max_len, i_max):
+    """Every canonical string, canonicalized without the package, sorted
+    by length and then lexicographically."""
+
+    def canonical(s):
+        r = s[::-1]
+        return min(min(s[k:] + s[:k], r[k:] + r[:k]) for k in range(len(s)))
+
     out = set()
     for n in range(1, max_len + 1):
-        for s in itertools.product(range(2, 3 + i_max + n + 1), repeat=n):
-            if max(s) >= 3 and sum(s) - 3 * n <= i_max:
-                out.add(canonical_form(s))
-    return out
+        budget = n + i_max  # total of (a_i - 2) allowed by I <= i_max
+        for s in itertools.product(range(2, 3 + max(budget, 0)), repeat=n):
+            if max(s) >= 3 and sum(s) - 2 * n <= budget:
+                out.add(canonical(s))
+    return sorted(out, key=lambda s: (len(s), s))
 
 
 def test_enumerate_strings_matches_brute_force():
-    for max_len, i_max in [(1, 0), (2, 0), (4, 0), (5, 1), (3, 2)]:
-        got = list(enumerate_strings(max_len, i_max))
-        assert len(got) == len(set(got))  # no duplicates
-        assert set(got) == brute_force_strings(max_len, i_max), (max_len, i_max)
-        assert all(s == canonical_form(s) for s in got)
+    # the necklace enumeration yields exactly the brute force, in its order
+    for max_len, i_max in [(1, 0), (2, 0), (4, 0), (6, 0), (5, 1), (3, 2), (5, 2), (6, -1)]:
+        assert list(enumerate_strings(max_len, i_max)) == brute_force_strings(max_len, i_max), (max_len, i_max)
 
 
 def test_enumerate_strings_golden():
