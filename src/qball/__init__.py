@@ -33,7 +33,7 @@ from .classifier import (
     normalize_monodromy,
 )
 from .contfrac import hj_eval, hj_expand, homology_order, monodromy_matrix, torsion_order
-from .embedsearch import find_embedding, find_standard, verify_classification
+from .embedsearch import find_embedding, verify_classification
 from .families import enumerate_family, enumerate_strings, in_s1, in_s2, member
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "enumerate_strings",
     "equivalent",
     "find_embedding",
-    "find_standard",
     "format_string",
     "hj_eval",
     "hj_expand",

@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as QQ
 from math import gcd, isqrt
+from operator import index
 
 from .chainstring import (
     canonical_form,
@@ -64,15 +65,12 @@ from .chainstring import (
     validate_chain,
 )
 from .contfrac import homology_order, is_square, monodromy_matrix
-from .embedsearch import BUDGET_EXCEEDED, find_embedding, gram_order
+from .embedsearch import find_embedding, gram_order
 from .families import S1_TAGS, S2_TAGS, _check_mode, in_family, mode_tag_sets
 
 BOUNDS = "Bounds"
 NOT_BOUNDS = "NotBounds"
 UNKNOWN = "Unknown"
-
-# node budget for obstruction-certifying embedding searches
-OBSTRUCTION_BUDGET = 10**7
 
 
 class ClassifierError(ValueError):
@@ -185,9 +183,10 @@ def normalize_monodromy(m) -> MonodromyClass:
     conjugator onto a power of the block product for the cycle word.  A
     run of 2s in the expansion is one step, so the walk takes a number of
     steps logarithmic in the matrix entries and needs no step cap.  The
-    conjugation is certified by exact matrix equality.
+    conjugation is certified by exact matrix equality.  An entry that is
+    not an integer raises TypeError instead of being truncated.
     """
-    m = ((int(m[0][0]), int(m[0][1])), (int(m[1][0]), int(m[1][1])))
+    m = ((index(m[0][0]), index(m[0][1])), (index(m[1][0]), index(m[1][1])))
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if det != 1:
         raise ClassifierError(f"matrix {m} has determinant {det}, need 1")
@@ -388,18 +387,17 @@ def _record(a) -> _StringRecord:
 _string_cache: dict = {}
 
 
-def _embedding_exists(rec, kind) -> bool | None:
+def _embedding_exists(rec, kind) -> bool:
     """Existence of a cyclic subset for the record's string, memoized in
-    the record; None if out of budget.  The search runs on the canonical
-    form, so every representative of the orbit shares one answer."""
+    the record.  The search runs on the canonical form, so every
+    representative of the orbit shares one answer."""
     embeds = rec.embeds
     if kind not in embeds:
         c = rec.canonical
         if len(c) == 1:  # one 2-handle: the prefilter's square test is exact
             embeds[kind] = is_square(gram_order(c, kind))
         else:
-            got = find_embedding(c, kind, budget=OBSTRUCTION_BUDGET)
-            embeds[kind] = None if got.outcome == BUDGET_EXCEEDED else got.found
+            embeds[kind] = find_embedding(c, kind).found
     return embeds[kind]
 
 
@@ -408,28 +406,18 @@ def _obstructed(a, rec_a, rec_d, side) -> Verdict | None:
 
     A surgery that bounds forces an embedding of the definite filling
     built on the string or on its dual (diagonalization), so two
-    exhausted searches prove NotBounds outright.  A found embedding or
-    an exhausted budget cannot conclude.
+    exhausted searches prove NotBounds outright.  A found embedding
+    cannot conclude.
     """
     d = rec_a.dual
     kind = f"{side}_cyclic"
-    got_a = _embedding_exists(rec_a, kind)
-    got_d = _embedding_exists(rec_d, kind)
-    if got_a is False and got_d is False:
+    if not _embedding_exists(rec_a, kind) and not _embedding_exists(rec_d, kind):
         return _verdict(
             NOT_BOUNDS,
             Reason(
                 f"{side}-embedding-exhausted",
                 f"neither {tuple(a)} nor its dual {tuple(d)} admits the "
                 f"{side}-side lattice embedding (non-existence is exact)",
-            ),
-        )
-    if got_a is None or got_d is None:
-        return _verdict(
-            UNKNOWN,
-            Reason(
-                f"{side}-embedding-budget",
-                "the obstruction search exceeded its node budget",
             ),
         )
     return None

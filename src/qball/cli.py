@@ -90,12 +90,7 @@ _KINDS = {
 
 
 def cmd_embed(args, out):
-    a = chainstring.parse_string(args.a)
-    kind = _KINDS[args.kind]
-    if kind == lattice.STANDARD:
-        result = embedsearch.find_standard(a, budget=args.budget)
-    else:
-        result = embedsearch.find_embedding(a, kind, budget=args.budget)
+    result = embedsearch.find_embedding(chainstring.parse_string(args.a), _KINDS[args.kind])
     payload = {"string": args.a, "kind": args.kind}
     payload.update(result.to_json())
     _emit(payload, out)
@@ -177,7 +172,6 @@ def cmd_verify(args, out):
     report = embedsearch.verify_classification(
         args.max_n,
         args.mode,
-        budget=args.budget,
         workers=args.workers,
         skip_until=skip,
         row_callback=callback,
@@ -229,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="search for a lattice subset")
     p.add_argument("--a", required=True, metavar="CSV")
     p.add_argument("--kind", choices=sorted(_KINDS), required=True)
-    p.add_argument("--budget", type=int, default=embedsearch.DEFAULT_BUDGET)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("homology", help="homology orders of the surgeries")
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive embedding-vs-family sweep")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--mode", choices=families.MODES, default="relaxed")
-    p.add_argument("--budget", type=int, default=embedsearch.DEFAULT_BUDGET)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", metavar="PATH")

@@ -27,12 +27,12 @@ candidate generator prunes on exact pairwise products with everything
 already assigned (new columns never meet older vectors, so partial
 products must land exactly).
 
-find_embedding and find_standard first apply two certificates, each of
-which answers Exhausted without a search node.  n vectors realizing the
-Gram matrix Q make Q = -A A^T with A the square integer matrix of their
-coordinates, so |det Q| = det(A)^2 is a perfect square; gram_order()
-reads |det Q| off values computed in O(n).  When it is a square, the
-lattice L = (Z^n, P) with P = -Q sits in Z^n with index |det A|, so
+find_embedding first applies two certificates, each of which answers
+Exhausted without a search node.  n vectors realizing the Gram matrix Q
+make Q = -A A^T with A the square integer matrix of their coordinates,
+so |det Q| = det(A)^2 is a perfect square; gram_order() reads |det Q|
+off values computed in O(n).  When it is a square, the lattice
+L = (Z^n, P) with P = -Q sits in Z^n with index |det A|, so
 Z^n / L is a metabolizer of the discriminant form b(x, y) = x^T P^-1 y
 on G = Z^n / P Z^n: a subgroup of order sqrt|G| on which b vanishes
 (Casson-Gordon; Lisca 2007).  For the cyclic kinds G has two generators,
@@ -71,7 +71,6 @@ from .lattice import NEGATIVE, POSITIVE, STANDARD, LatticeSubset, classify_subse
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
-BUDGET_EXCEEDED = "budget_exceeded"
 
 # what decided a search, in the order _search tries them: a non-square
 # Gram determinant, then a discriminant form without a metabolizer (both
@@ -79,8 +78,6 @@ BUDGET_EXCEEDED = "budget_exceeded"
 DET_NONSQUARE = "det-nonsquare"
 NO_METABOLIZER = "no-metabolizer"
 SEARCH = "search"
-
-DEFAULT_BUDGET = 10**9
 
 # Strings for which the exhaustive search, run to completion, exhibits a
 # negative cyclic subset although the string lies in no family and is
@@ -96,10 +93,6 @@ THEOREM_GAP_STRINGS = frozenset(
         canonical_form((2, 4, 2, 4, 2, 4, 2, 4)),
     }
 )
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -145,18 +138,13 @@ def _square_partitions(mass: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _target_gram(a, kind: str):
-    """Prescribed products G[i][j] for i < j, as a dict, or None if the
-    kind is impossible outright (positive cyclic needs an entry >= 3)."""
+    """Prescribed products G[i][j] for i < j, as a dict."""
     n = len(a)
     targets = {}
     if kind == STANDARD:
         for i in range(n - 1):
             targets[(i, i + 1)] = 1
         return targets
-    if kind not in (NEGATIVE, POSITIVE):
-        raise ValueError(f"unknown search kind {kind!r}")
-    if kind == POSITIVE and max(a) < 3:
-        return None
     if n == 2:
         targets[(0, 1)] = 0 if kind == NEGATIVE else 2
         return targets
@@ -187,11 +175,13 @@ def discriminant_form(a, kind: str):
     e_n: rows 1, ..., n-2 of P express e_2, ..., e_{n-1} through them with
     continuant coefficients N(a_i..a_j) (the numerators of hj_eval), the
     last two rows are R, and P^-1 on the generators is read off cofactors.
-    For n = 2, R = P.
+    For n = 2, R = P.  G must be finite, which the positive kind of an
+    all-2 string (|det Q| = 0) is not.
     """
+    order = 0 if kind == STANDARD else gram_order(a, kind)
+    if not order:
+        raise ValueError(f"no finite cyclic discriminant group of kind {kind!r} for {tuple(a)}")
     targets = _target_gram(a, kind)
-    if kind == STANDARD or targets is None:
-        raise ValueError(f"no cyclic Gram matrix of kind {kind!r} for {tuple(a)}")
     n = len(a)
     if n == 2:
         t = targets[(0, 1)]
@@ -205,7 +195,7 @@ def discriminant_form(a, kind: str):
         (cont(0, n - 2), w * cont(1, n - 2) - 1),
         (w - cont(0, n - 3), a[n - 1] - w * cont(1, n - 3)),
     )
-    if abs(R[0][0] * R[1][1] - R[0][1] * R[1][0]) != gram_order(a, kind):
+    if abs(R[0][0] * R[1][1] - R[0][1] * R[1][0]) != order:
         raise AssertionError(f"relation matrix of {tuple(a)} {kind} lost the determinant")
     return R, (cont(1, n - 1), 1 - w * cont(1, n - 2), cont(0, n - 2))
 
@@ -425,31 +415,29 @@ def metabolizer_count(R, form) -> int | None:
     return count if complete else None
 
 
-def _search(a, kind, budget) -> SearchResult:
+def _search(a, kind) -> SearchResult:
     """The engine behind two certificates that prove Exhausted before any
     node is spent: a non-square |det Q|, then, for the cyclic kinds, a
-    discriminant form with no metabolizer."""
+    discriminant form with no metabolizer.  Ahead of both, a positive
+    cyclic subset needs an entry >= 3 by definition."""
     t0 = time.perf_counter()
-    # positive cyclic needs an entry >= 3; the engine answers that case outright
-    if kind != POSITIVE or max(a) >= 3:
-        if not is_square(gram_order(a, kind)):
-            return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
-        if kind != STANDARD and metabolizer_count(*discriminant_form(a, kind)) == 0:
-            return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, NO_METABOLIZER)
-    return _Engine(a, kind, budget).run()
+    if kind == POSITIVE and max(a) < 3:
+        return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0)
+    if not is_square(gram_order(a, kind)):
+        return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
+    if kind != STANDARD and metabolizer_count(*discriminant_form(a, kind)) == 0:
+        return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, NO_METABOLIZER)
+    return _Engine(a, kind).run()
 
 
 class _Engine:
-    def __init__(self, a, kind, budget):
+    def __init__(self, a, kind):
         self.a = a
         self.n = len(a)
         self.kind = kind
-        self.budget = budget
         self.nodes = 0
         self.witness = None
-        targets = _target_gram(a, kind)
-        self.impossible = targets is None
-        self.targets = targets or {}
+        self.targets = _target_gram(a, kind)
         # walk the cycle starting at the largest entry: each new vertex is
         # pinned to its placed neighbor, so the Gram constraints chain
         # (placing by descending square instead leaves early vertices
@@ -523,8 +511,6 @@ class _Engine:
 
     def run(self):
         t0 = time.perf_counter()
-        if self.impossible:
-            return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0)
         placed: list[tuple[int, tuple[int, ...]]] = []
 
         def extend(k, used):
@@ -534,18 +520,13 @@ class _Engine:
             pos = self.order[k]
             for v, new_used in self._candidates(pos, placed, used):
                 self.nodes += 1
-                if self.nodes > self.budget:
-                    raise BudgetExceeded
                 placed.append((pos, v))
                 if extend(k + 1, new_used):
                     return True
                 placed.pop()
             return False
 
-        try:
-            hit = extend(0, 0)
-        except BudgetExceeded:
-            return SearchResult(BUDGET_EXCEEDED, None, self.nodes, time.perf_counter() - t0)
+        hit = extend(0, 0)
         elapsed = time.perf_counter() - t0
         if not hit:
             return SearchResult(EXHAUSTED, None, self.nodes, elapsed)
@@ -561,94 +542,15 @@ class _Engine:
         return SearchResult(FOUND, witness, self.nodes, elapsed)
 
 
-def find_embedding(a, kind: str, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Decide whether a cyclic subset of the given kind realizes a."""
+def find_embedding(a, kind: str) -> SearchResult:
+    """Decide whether a subset of the given kind realizes a: the cyclic
+    string a for a cyclic kind, the linear string a for the standard one."""
     a = validate_chain(a)
     if len(a) < 2:
         raise ValueError("embedding queries need length >= 2")
-    if kind not in (NEGATIVE, POSITIVE):
-        raise ValueError(f"kind must be {NEGATIVE} or {POSITIVE}, got {kind!r}")
-    return _search(a, kind, budget)
-
-
-def find_standard(b, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Decide whether a standard subset realizes the linear string b."""
-    b = tuple(b)
-    if len(b) < 2:
-        raise ValueError("standard queries need length >= 2")
-    for x in b:
-        if x < 2:
-            raise ValueError(f"entry {x} < 2 in {b}")
-    return _search(b, STANDARD, budget)
-
-
-def _all_vectors(n: int, square: int):
-    """Every v in Z^n with sum of squares equal to `square` (no reduction)."""
-    out = []
-
-    def rec(j, left, prefix):
-        if j == n:
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        bound = isqrt(left)
-        for c in range(-bound, bound + 1):
-            rec(j + 1, left - c * c, prefix + [c])
-
-    rec(0, square, [])
-    return out
-
-
-def naive_find(a, kind: str, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Existence oracle with no symmetry reduction (small n only).
-
-    Assigns positions in listed order from the raw candidate lists of
-    all coordinate vectors of the right square, pruning only on exact
-    pairwise products.  Deliberately shares no generation logic with
-    the reduced engine.
-    """
-    a = tuple(a)
-    n = len(a)
-    if n > 5:
-        raise ValueError("the naive oracle is for n <= 5")
-    t0 = time.perf_counter()
-    targets = _target_gram(a, kind)
-    if targets is None:
-        return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0)
-    candidates = {i: _all_vectors(n, a[i]) for i in range(n)}
-    nodes = 0
-    placed: list[tuple[int, ...]] = []
-
-    def product(v, w):
-        return -sum(x * y for x, y in zip(v, w))
-
-    def extend(i):
-        nonlocal nodes
-        if i == n:
-            return True
-        for v in candidates[i]:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded
-            ok = True
-            for q in range(i):
-                key = (q, i)
-                if product(placed[q], v) != targets.get(key, 0):
-                    ok = False
-                    break
-            if ok:
-                placed.append(v)
-                if extend(i + 1):
-                    return True
-                placed.pop()
-        return False
-
-    try:
-        hit = extend(0)
-    except BudgetExceeded:
-        return SearchResult(BUDGET_EXCEEDED, None, nodes, time.perf_counter() - t0)
-    outcome = FOUND if hit else EXHAUSTED
-    return SearchResult(outcome, None, nodes, time.perf_counter() - t0)
+    if kind not in (STANDARD, NEGATIVE, POSITIVE):
+        raise ValueError(f"unknown search kind {kind!r}")
+    return _search(a, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -672,11 +574,7 @@ class Row:
     def agree(self, mode: str) -> bool:
         s1 = self.s1_strict if mode == "strict" else self.s1_relaxed
         s2 = self.s2_strict if mode == "strict" else self.s2_relaxed
-        neg_expected = s1 or self.exceptional
-        pos_expected = s2
-        if BUDGET_EXCEEDED in (self.neg, self.pos):
-            return False
-        return (self.neg == FOUND) == neg_expected and (self.pos == FOUND) == pos_expected
+        return (self.neg == FOUND) == (s1 or self.exceptional) and (self.pos == FOUND) == s2
 
     def to_json(self, mode: str) -> dict:
         return {
@@ -721,11 +619,10 @@ class Row:
         return ",".join(cells)
 
 
-def _row_for(args) -> Row:
-    a, budget = args
+def _row_for(a) -> Row:
     tags_strict, tags_relaxed = mode_tag_sets(a)
-    neg = find_embedding(a, NEGATIVE, budget)
-    pos = find_embedding(a, POSITIVE, budget)
+    neg = find_embedding(a, NEGATIVE)
+    pos = find_embedding(a, POSITIVE)
     return Row(
         string=a,
         i_inv=i_invariant(a),
@@ -762,7 +659,6 @@ def sweep_strings(max_n: int):
 def verify_classification(
     max_n: int,
     mode: str = "relaxed",
-    budget: int = DEFAULT_BUDGET,
     workers: int = 1,
     skip_until=None,
     row_callback=None,
@@ -783,7 +679,6 @@ def verify_classification(
             raise ValueError(f"skip-until string {tuple(skip_until)} is not in the max_n={max_n} sweep")
         strings = strings[strings.index(start):]
     report = VerificationReport(max_n, mode)
-    jobs = [(a, budget) for a in strings]
 
     def collect(rows):
         for row in rows:
@@ -795,7 +690,7 @@ def verify_classification(
         from multiprocessing import Pool  # costs every import qball several ms
 
         with Pool(workers) as pool:
-            collect(pool.imap(_row_for, jobs, chunksize=8))
+            collect(pool.imap(_row_for, strings, chunksize=8))
     else:
-        collect(map(_row_for, jobs))
+        collect(map(_row_for, strings))
     return report

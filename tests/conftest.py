@@ -1,4 +1,5 @@
 import random
+import time
 from math import isqrt
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from qball.chainstring import linear_dual, reverse, rotate
 from qball.classifier import _ID, _S, NormalFormNotFound, _mat_mul, _t_pow
 from qball.contfrac import ContfracError, hj_eval
-from qball.embedsearch import _Engine, _square_partitions
+from qball.embedsearch import EXHAUSTED, FOUND, SearchResult, _Engine, _square_partitions, _target_gram
 from qball.families import _MATCHERS, Witness, _unbump_both_ends, member, side_condition_holds
+from qball.lattice import POSITIVE
 
 
 @pytest.fixture
@@ -302,3 +304,71 @@ class OracleEngine(_Engine):
             coeffs[j] = 0
 
         yield from rec(0, a, [0] * len(vecs))
+
+
+# ---------------------------------------------------------------------------
+# the search with no symmetry reduction at all: the oracle for the
+# engine's completeness on small strings
+
+
+def _all_vectors(n: int, square: int):
+    """Every v in Z^n with sum of squares equal to `square` (no reduction)."""
+    out = []
+
+    def rec(j, left, prefix):
+        if j == n:
+            if left == 0:
+                out.append(tuple(prefix))
+            return
+        bound = isqrt(left)
+        for c in range(-bound, bound + 1):
+            rec(j + 1, left - c * c, prefix + [c])
+
+    rec(0, square, [])
+    return out
+
+
+def naive_find(a, kind: str) -> SearchResult:
+    """Existence oracle with no symmetry reduction (small n only).
+
+    Assigns positions in listed order from the raw candidate lists of
+    all coordinate vectors of the right square, pruning only on exact
+    pairwise products.  Deliberately shares no generation logic with
+    the reduced engine.
+    """
+    a = tuple(a)
+    n = len(a)
+    if n > 5:
+        raise ValueError("the naive oracle is for n <= 5")
+    t0 = time.perf_counter()
+    if kind == POSITIVE and max(a) < 3:  # positive cyclic needs an entry >= 3
+        return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0)
+    targets = _target_gram(a, kind)
+    candidates = {i: _all_vectors(n, a[i]) for i in range(n)}
+    nodes = 0
+    placed: list[tuple[int, ...]] = []
+
+    def product(v, w):
+        return -sum(x * y for x, y in zip(v, w))
+
+    def extend(i):
+        nonlocal nodes
+        if i == n:
+            return True
+        for v in candidates[i]:
+            nodes += 1
+            ok = True
+            for q in range(i):
+                key = (q, i)
+                if product(placed[q], v) != targets.get(key, 0):
+                    ok = False
+                    break
+            if ok:
+                placed.append(v)
+                if extend(i + 1):
+                    return True
+                placed.pop()
+        return False
+
+    outcome = FOUND if extend(0) else EXHAUSTED
+    return SearchResult(outcome, None, nodes, time.perf_counter() - t0)

@@ -45,7 +45,6 @@ from qball.embedsearch import (
     FOUND,
     THEOREM_GAP_STRINGS,
     find_embedding,
-    naive_find,
     verify_classification,
 )
 from qball.families import (
@@ -71,7 +70,7 @@ from qball.lattice import (
     random_expansion,
     subset_i_invariant,
 )
-from conftest import assert_negative_cyclic_witness, random_string, s1a_square_order
+from conftest import assert_negative_cyclic_witness, naive_find, random_string, s1a_square_order
 
 
 def report(num, text):

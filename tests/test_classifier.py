@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction as QQ
 from math import isqrt
 
@@ -104,6 +105,14 @@ def test_normalize_golden():
 def test_normalize_rejects_bad_determinant():
     with pytest.raises(ClassifierError):
         normalize_monodromy(((2, 0), (0, 1)))
+
+
+def test_normalize_rejects_non_integral_entries():
+    # truncating these would read them as the parabolic identity and the
+    # hyperbolic ((2, 1), (1, 1)); a float entry is refused instead
+    for m in (((1.9, 0), (0, 1.2)), ((2.0, 1), (1, 1.0))):
+        with pytest.raises(TypeError):
+            normalize_monodromy(m)
 
 
 def test_normalize_recovers_random_conjugates(rng):
@@ -574,15 +583,34 @@ def test_surgery_rule_goldens(a, t, status, reasons):
     assert classify_surgery(a, t).to_json() == _golden_json(status, reasons)
 
 
-def test_surgery_budget_rule_goldens(monkeypatch):
-    # a zero node budget turns every obstruction search past length 1
-    # into the budget Unknown; a fresh memo keeps those answers local
-    monkeypatch.setattr(classifier, "OBSTRUCTION_BUDGET", 0)
+def test_classify_corpus_pinned(monkeypatch):
+    # the 2,225-query corpus (every string of enumerate_strings(7, 0) at
+    # each t in -2..2, strict mode) from a cold memo: its statuses and
+    # the count of every rule among their reasons
     monkeypatch.setattr(classifier, "_string_cache", {})
-    detail = "the obstruction search exceeded its node budget"
-    for a, t, side in [((3, 3, 3, 3, 3, 3), -1, "negative"), ((2, 2, 2, 3), 2, "positive")]:
-        got = classify_surgery(a, t).to_json()
-        assert got == _golden_json(UNKNOWN, [(f"{side}-embedding-budget", detail)]), (a, t)
+    statuses, rules = Counter(), Counter()
+    for a in enumerate_strings(7, 0):
+        for t in range(-2, 3):
+            verdict = classify_surgery(a, t)
+            statuses[verdict.status] += 1
+            rules.update(r.rule for r in verdict.reasons)
+    assert statuses == {BOUNDS: 153, NOT_BOUNDS: 1985, UNKNOWN: 87}
+    assert rules == {
+        "mirror": 446,
+        "negative-embedding-exhausted": 831,
+        "positive-embedding-exhausted": 1143,
+        "even-open": 80,
+        "even-membership": 63,
+        "even-S2c-all-t": 48,
+        "odd-membership": 25,
+        "odd-dual-membership": 19,
+        "lens": 9,
+        "odd-embedding-found": 4,
+        "dual-S1a-odd-order": 3,
+        "mode-boundary": 3,
+        "dual-S1a-even-order": 2,
+        "even-embedding-found": 1,
+    }
 
 
 def test_long_even_power_obstructed_without_search(monkeypatch):

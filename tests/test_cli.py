@@ -194,8 +194,8 @@ def test_verify_row_line_is_the_encoder_output():
     rows = verify_classification(7, "relaxed", workers=1).rows
     assert {r.neg for r in rows} == {"found", "exhausted"}
     rows += [
-        dataclasses.replace(rows[0], neg="budget_exceeded", nodes=10**12, ms=12345.678),
-        dataclasses.replace(rows[-1], pos="budget_exceeded", ms=1e-05),
+        dataclasses.replace(rows[0], neg="found", nodes=10**12, ms=12345.678),
+        dataclasses.replace(rows[-1], pos="exhausted", ms=1e-05),
     ]
     for row in rows:
         for mode in ("strict", "relaxed"):
@@ -225,6 +225,10 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         run(["classify"])  # missing positional
     assert exc.value.code == 1
+    for argv in (["embed", "--a", "3,3", "--kind", "positive"], ["verify", "--max-n", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--budget", "5"])  # the searches take no node budget
+        assert exc.value.code == 1, argv
 
 
 def test_out_file(tmp_path):

@@ -10,8 +10,6 @@ from qball import embedsearch
 from qball.chainstring import canonical_form
 from qball.contfrac import hj_eval, homology_order
 from qball.embedsearch import (
-    BUDGET_EXCEEDED,
-    DEFAULT_BUDGET,
     DET_NONSQUARE,
     EXHAUSTED,
     FOUND,
@@ -21,15 +19,13 @@ from qball.embedsearch import (
     _Engine,
     _target_gram,
     find_embedding,
-    find_standard,
     gram_order,
-    naive_find,
     sweep_strings,
     verify_classification,
 )
 from qball.families import enumerate_members, in_s1, in_s2
 from qball.lattice import NEGATIVE, POSITIVE, STANDARD, classify_subset, incidence_stats
-from conftest import OracleEngine, assert_negative_cyclic_witness
+from conftest import OracleEngine, assert_negative_cyclic_witness, naive_find
 
 
 def canonical_strings(n, max_entry, i_max=0):
@@ -59,8 +55,13 @@ def test_find_embedding_golden():
     assert got.found
     assert (got.witness.kind, got.witness.string) == (POSITIVE, (3, 3, 3))
     assert find_embedding((2, 2, 2, 2), NEGATIVE).found
-    # positive needs an entry >= 3 by definition
-    assert find_embedding((2, 2, 2, 2), POSITIVE).outcome == EXHAUSTED
+    # positive needs an entry >= 3 by definition: that rule answers before
+    # either certificate, with no node, here and in the naive oracle
+    for a in ((2, 2), (2, 2, 2, 2)):
+        for got in (find_embedding(a, POSITIVE), naive_find(a, POSITIVE)):
+            assert (got.outcome, got.nodes, got.certificate) == (EXHAUSTED, 0, SEARCH), a
+    with pytest.raises(ValueError, match="unknown search kind"):
+        find_embedding((3, 3, 3), "bogus")
 
 
 def test_found_witnesses_revalidate():
@@ -73,15 +74,9 @@ def test_found_witnesses_revalidate():
                 assert w.string == canonical_form(a)
 
 
-def test_budget_exceeded_is_distinct():
-    got = find_embedding((2, 2, 3, 5, 3), POSITIVE, budget=2)
-    assert got.outcome == BUDGET_EXCEEDED
-    assert got.witness is None
-
-
 def test_find_standard_golden():
-    assert find_standard((2, 2, 2)).found
-    assert find_standard((3, 2, 3, 3, 3)).found  # the I = -1 catalog case
+    assert find_embedding((2, 2, 2), STANDARD).found
+    assert find_embedding((3, 2, 3, 3, 3), STANDARD).found  # the I = -1 catalog case
 
 
 def test_no_standard_subsets_below_i_minus_three():
@@ -89,13 +84,13 @@ def test_no_standard_subsets_below_i_minus_three():
     for n in range(4, 7):
         for t in itertools.product(range(2, 6), repeat=n):
             if sum(t) - 3 * n <= -4:
-                assert find_standard(t).outcome == EXHAUSTED, t
+                assert find_embedding(t, STANDARD).outcome == EXHAUSTED, t
 
 
 def test_standard_search_finds_catalog_strings():
-    assert find_standard((2, 3, 4, 3, 3, 2, 2)).found  # 2a at x=1, y=2
-    assert find_standard((3, 2, 3, 3, 3)).found  # 3c at x=y=0
-    assert find_standard((3, 2, 4, 2, 4, 2)).found  # 3b at x=1, y=1
+    assert find_embedding((2, 3, 4, 3, 3, 2, 2), STANDARD).found  # 2a at x=1, y=2
+    assert find_embedding((3, 2, 3, 3, 3), STANDARD).found  # 3c at x=y=0
+    assert find_embedding((3, 2, 4, 2, 4, 2), STANDARD).found  # 3b at x=1, y=1
 
 
 def test_naive_oracle_agreement():
@@ -159,16 +154,16 @@ def test_verify_skip_until_outside_universe():
 _GATE: dict = {}
 
 
-def _gated_row(args):
+def _gated_row(a):
     """The sweep's row function, except that the last row waits (up to a
     deadline) until the parent has received the first row, then leaves a
     file saying it was computed."""
-    if args[0] == _GATE["last"]:
+    if a == _GATE["last"]:
         deadline = time.monotonic() + 30
         while not _GATE["first_seen"].exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-    row = _GATE["row_for"](args)
-    if args[0] == _GATE["last"]:
+    row = _GATE["row_for"](a)
+    if a == _GATE["last"]:
         _GATE["last_done"].touch()
     return row
 
@@ -226,7 +221,7 @@ def test_theorem_gap_string_witness():
     assert st.p_count(1) == 0 and st.p_count(2) == 2
     # its standard companion: removing one vertex leaves the catalogued
     # standard subset with string (3,2,3,3,3)
-    assert find_standard((3, 2, 3, 3, 3)).found
+    assert find_embedding((3, 2, 3, 3, 3), STANDARD).found
 
 
 def test_sweep_to_nine_reports_only_gap_strings():
@@ -293,7 +288,7 @@ def test_prefilter_agrees_with_raw_search():
             if got.certificate in fired:
                 fired[got.certificate] += 1
                 assert (got.outcome, got.nodes) == (EXHAUSTED, 0), (a, kind)
-                assert _Engine(a, kind, DEFAULT_BUDGET).run().outcome == EXHAUSTED, (a, kind)
+                assert _Engine(a, kind).run().outcome == EXHAUSTED, (a, kind)
             else:
                 assert got.certificate == SEARCH, (a, kind)
     assert fired == {DET_NONSQUARE: 273, NO_METABOLIZER: 9}
@@ -304,18 +299,18 @@ def test_prefilter_agrees_with_raw_search():
         for kind in (NEGATIVE, POSITIVE):
             got = find_embedding(a, kind)
             if got.certificate != DET_NONSQUARE:
-                raw = _Engine(a, kind, DEFAULT_BUDGET).run()
+                raw = _Engine(a, kind).run()
                 assert raw.outcome == got.outcome, (a, kind)
                 fired += got.certificate == NO_METABOLIZER
     assert fired == 15
     fired = 0
     for n in range(2, 6):
         for b in itertools.product(range(2, 6), repeat=n):
-            got = find_standard(b)
+            got = find_embedding(b, STANDARD)
             if got.certificate == DET_NONSQUARE:
                 fired += 1
                 assert (got.outcome, got.nodes) == (EXHAUSTED, 0), b
-                assert _Engine(b, STANDARD, DEFAULT_BUDGET).run().outcome == EXHAUSTED, b
+                assert _Engine(b, STANDARD).run().outcome == EXHAUSTED, b
     assert fired == 1300
 
 
@@ -343,15 +338,15 @@ def test_class_rule_keeps_the_first_witness():
     searches += exhaustions
     fewer = 0
     for a, kind in searches:
-        got = _Engine(a, kind, DEFAULT_BUDGET).run()
-        want = OracleEngine(a, kind, DEFAULT_BUDGET).run()
+        got = _Engine(a, kind).run()
+        want = OracleEngine(a, kind).run()
         assert got.outcome == want.outcome, (a, kind)
         if want.found:
             assert got.witness.vectors == want.witness.vectors, (a, kind)
         assert got.nodes <= want.nodes, (a, kind)
         fewer += got.nodes < want.nodes
     assert fewer > 0
-    assert _Engine((2, 2, 2, 2, 2, 4, 2, 6), POSITIVE, DEFAULT_BUDGET).run().nodes == 16
+    assert _Engine((2, 2, 2, 2, 2, 4, 2, 6), POSITIVE).run().nodes == 16
 
 
 def test_gram_det_pivots_and_zero():

@@ -339,7 +339,7 @@ def test_max_coeff_one_on_i0_fixtures():
 
 
 def test_catalog_2c_checker():
-    from qball.embedsearch import find_standard
+    from qball.embedsearch import find_embedding
     from qball.families import dual_pairs
     from qball.lattice import check_catalog_2c
 
@@ -348,7 +348,7 @@ def test_catalog_2c_checker():
         if b == (1,) or len(b) + len(c) < 3:
             continue
         string = b[:-1] + (b[-1] + 1, 2, 2, c[-1] + 1) + tuple(reversed(c[:-1]))
-        got = find_standard(string)
+        got = find_embedding(string, STANDARD)
         if got.found:
             assert check_catalog_2c(got.witness), string
             hits += 1

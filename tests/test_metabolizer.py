@@ -10,6 +10,8 @@ embedsearch.discriminant_form beyond the definition of Q.
 from fractions import Fraction
 from math import gcd, isqrt
 
+import pytest
+
 from qball import embedsearch
 from qball.chainstring import cyclic_dual
 from qball.contfrac import is_square
@@ -24,7 +26,7 @@ from qball.embedsearch import (
     sweep_strings,
 )
 from qball.families import enumerate_strings
-from qball.lattice import NEGATIVE, POSITIVE
+from qball.lattice import NEGATIVE, POSITIVE, STANDARD
 
 
 def _p_matrix(a, kind):
@@ -122,7 +124,7 @@ def _invariant_factors(a, kind):
 def _square_searches(strings):
     for a in strings:
         for kind in (NEGATIVE, POSITIVE):
-            if _target_gram(a, kind) is not None and is_square(gram_order(a, kind)):
+            if is_square(gram_order(a, kind)):
                 yield a, kind
 
 
@@ -132,6 +134,15 @@ def test_oracle_counts():
     assert brute_metabolizers((2, 4) * 4, NEGATIVE) == 6
     for a, count in (((3,) * 6, 3), ((3,) * 8, 0), ((2, 4) * 4, 6)):
         assert metabolizer_count(*discriminant_form(a, NEGATIVE)) == count, a
+
+
+def test_discriminant_form_needs_a_finite_group():
+    # the standard kind has no cyclic form, and the positive kind of an
+    # all-2 string has |det Q| = 0, whose relation matrix would send the
+    # metabolizer count into a loop on an order-0 factor
+    for a, kind in (((3, 3, 3), STANDARD), ((2, 2), POSITIVE), ((2, 2, 2, 2), POSITIVE)):
+        with pytest.raises(ValueError, match="no finite cyclic discriminant group"):
+            discriminant_form(a, kind)
 
 
 def test_fast_count_agrees_with_oracle_on_the_sweep():
