@@ -33,7 +33,7 @@ from .classifier import (
     normalize_monodromy,
 )
 from .contfrac import hj_eval, hj_expand, homology_order, monodromy_matrix, torsion_order
-from .embedsearch import find_embedding, verify_classification
+from .embedsearch import embedding_witness, find_embedding, verify_classification
 from .families import enumerate_family, enumerate_strings, in_s1, in_s2, member
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "classify_surgery",
     "classify_torus_bundle",
     "cyclic_dual",
+    "embedding_witness",
     "enumerate_family",
     "enumerate_strings",
     "equivalent",

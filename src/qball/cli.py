@@ -90,7 +90,7 @@ _KINDS = {
 
 
 def cmd_embed(args, out):
-    result = embedsearch.find_embedding(chainstring.parse_string(args.a), _KINDS[args.kind])
+    result = embedsearch.embedding_witness(chainstring.parse_string(args.a), _KINDS[args.kind])
     payload = {"string": args.a, "kind": args.kind}
     payload.update(result.to_json())
     _emit(payload, out)

@@ -27,8 +27,8 @@ candidate generator prunes on exact pairwise products with everything
 already assigned (new columns never meet older vectors, so partial
 products must land exactly).
 
-find_embedding first applies two certificates, each of which answers
-Exhausted without a search node.  n vectors realizing the Gram matrix Q
+find_embedding first applies three certificates, each of which answers
+without a search node.  n vectors realizing the Gram matrix Q
 make Q = -A A^T with A the square integer matrix of their coordinates,
 so |det Q| = det(A)^2 is a perfect square; gram_order() reads |det Q|
 off values computed in O(n).  When it is a square, the lattice
@@ -39,6 +39,15 @@ on G = Z^n / P Z^n: a subgroup of order sqrt|G| on which b vanishes
 discriminant_form() gives its relation matrix and form in O(n), and
 metabolizer_count() counts metabolizers prime by prime; a count of 0
 proves Exhausted.  A standard string has cyclic G, which always has one.
+Conversely, a metabolizer glues L into a unimodular overlattice of
+rank n, and for n <= 7 every positive definite one is Z^n (Conway and
+Sloane, SPLAG ch. 16), so a positive count at n <= 7 proves Found; rank
+8 admits E8, and there the engine decides.
+
+find_embedding is the decider: the sweep and the classifier read only
+its outcome, and a Found from the rank rule carries no witness.
+embedding_witness() is the same answer with a witness on every Found,
+built by the engine where the rank rule answered; the CLI prints it.
 
 The sweep driver verify_classification() runs both cyclic searches for
 every canonical string with an entry >= 3 and I <= 0 up to a given
@@ -74,10 +83,17 @@ EXHAUSTED = "exhausted"
 
 # what decided a search, in the order _search tries them: a non-square
 # Gram determinant, then a discriminant form without a metabolizer (both
-# prove Exhausted with zero nodes), then the backtracking engine
+# prove Exhausted with zero nodes), then a metabolizer at cyclic rank
+# n <= 7 (proves Found with zero nodes and no witness), then the
+# backtracking engine
 DET_NONSQUARE = "det-nonsquare"
 NO_METABOLIZER = "no-metabolizer"
+UNIMODULAR_RANK = "unimodular-rank"
 SEARCH = "search"
+
+# every positive definite unimodular lattice of rank <= 7 is Z^n; rank 8
+# admits E8
+_UNIMODULAR_RANK_LIMIT = 7
 
 # Strings for which the exhaustive search, run to completion, exhibits a
 # negative cyclic subset although the string lies in no family and is
@@ -356,7 +372,10 @@ def metabolizer_count(R, form) -> int | None:
     (2k = e1 + e2) are enumerated as the lattices K of index p^k in Z^2
     that contain p^e1 Z + p^e2 Z: K has the Hermite basis (p^s, y),
     (0, p^t) with s + t = k, 0 <= y < p^t and p^t | y p^(e1 - s).
+    A singular R (an infinite G) is refused with ValueError.
     """
+    if R[0][0] * R[1][1] == R[0][1] * R[1][0]:
+        raise ValueError(f"relation matrix {R} is singular: the discriminant group is infinite")
     d1, d2, W = _smith_basis(R)
     D = d1 * d2
     b11, b12, b22 = form
@@ -416,17 +435,33 @@ def metabolizer_count(R, form) -> int | None:
 
 
 def _search(a, kind) -> SearchResult:
-    """The engine behind two certificates that prove Exhausted before any
-    node is spent: a non-square |det Q|, then, for the cyclic kinds, a
-    discriminant form with no metabolizer.  Ahead of both, a positive
-    cyclic subset needs an entry >= 3 by definition."""
+    """The engine behind three certificates that answer without a node:
+    a non-square |det Q| and, for the cyclic kinds, a discriminant form
+    with no metabolizer prove Exhausted; a metabolizer at n <= 7 proves
+    Found.  Ahead of all three, a positive cyclic subset needs an entry
+    >= 3 by definition.
+
+    The third rule: P = -Q has diagonal a_i >= 2 and off-diagonal
+    entries of total size at most 2 in each row, so it is positive
+    semidefinite by weak diagonal dominance, and definite once det P != 0.
+    A metabolizer H of b on G = L#/L, L = (Z^n, P), has for preimage in
+    L# a lattice M = L + H on which b is integral, of determinant
+    det P / |H|^2 = 1: an integral unimodular positive definite lattice
+    of rank n <= 7, hence M = Z^n with the standard form.  The basis of
+    L read in M realizes P, that is Q in (Z^n, -Id).  A count of None
+    proves nothing and goes to the engine, as does every n >= 8.
+    """
     t0 = time.perf_counter()
     if kind == POSITIVE and max(a) < 3:
         return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0)
     if not is_square(gram_order(a, kind)):
         return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
-    if kind != STANDARD and metabolizer_count(*discriminant_form(a, kind)) == 0:
-        return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, NO_METABOLIZER)
+    if kind != STANDARD:
+        count = metabolizer_count(*discriminant_form(a, kind))
+        if count == 0:
+            return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, NO_METABOLIZER)
+        if count is not None and len(a) <= _UNIMODULAR_RANK_LIMIT:
+            return SearchResult(FOUND, None, 0, time.perf_counter() - t0, UNIMODULAR_RANK)
     return _Engine(a, kind).run()
 
 
@@ -551,6 +586,15 @@ def find_embedding(a, kind: str) -> SearchResult:
     if kind not in (STANDARD, NEGATIVE, POSITIVE):
         raise ValueError(f"unknown search kind {kind!r}")
     return _search(a, kind)
+
+
+def embedding_witness(a, kind: str) -> SearchResult:
+    """find_embedding's answer with a witness on every Found: a Found the
+    rank rule settled without one is searched again by the engine."""
+    got = find_embedding(a, kind)
+    if got.found and got.witness is None:
+        return _Engine(validate_chain(a), kind).run()
+    return got
 
 
 # ---------------------------------------------------------------------------

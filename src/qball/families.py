@@ -554,9 +554,11 @@ def enumerate_strings(max_len: int, i_max: int = 0):
     Wang, 1992): with p the period of the longest Lyndon prefix, entry
     t is at least entry t - p, equality keeps p, and a larger entry
     makes the prefix Lyndon (p = t + 1).  A full string is a necklace
-    iff p divides its length, and only necklaces reach the canonical
-    form test, which also compares the reversal.  Extending each prefix
-    by increasing entries keeps the lexicographic order.
+    iff p divides its length.  A necklace starts at its least entry and
+    is already no larger than its rotations, so it is canonical iff it
+    is no larger than the rotations of its reversal that start at that
+    entry.  Extending each prefix by increasing entries keeps the
+    lexicographic order.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -564,8 +566,10 @@ def enumerate_strings(max_len: int, i_max: int = 0):
     def fill(prefix, p, left, n):
         t = len(prefix)
         if t == n:
-            if n % p == 0 and max(prefix) >= 3 and prefix == canonical_form(prefix):
-                yield prefix
+            if n % p == 0 and max(prefix) >= 3:
+                doubled = prefix[::-1] * 2
+                if all(prefix <= doubled[k : k + n] for k in range(n) if doubled[k] == prefix[0]):
+                    yield prefix
             return
         low = prefix[t - p] if t else 2
         for x in range(low, left + 3):  # x spends x - 2 of the budget

@@ -6,10 +6,10 @@ import pytest
 
 from qball.chainstring import linear_dual, reverse, rotate
 from qball.classifier import _ID, _S, NormalFormNotFound, _mat_mul, _t_pow
-from qball.contfrac import ContfracError, hj_eval
-from qball.embedsearch import EXHAUSTED, FOUND, SearchResult, _Engine, _square_partitions, _target_gram
+from qball.contfrac import ContfracError, hj_eval, is_square
+from qball.embedsearch import EXHAUSTED, FOUND, SearchResult, _Engine, _square_partitions, _target_gram, gram_order
 from qball.families import _MATCHERS, Witness, _unbump_both_ends, member, side_condition_holds
-from qball.lattice import POSITIVE
+from qball.lattice import NEGATIVE, POSITIVE
 
 
 @pytest.fixture
@@ -23,6 +23,15 @@ def random_string(rng, max_len=8, max_entry=9, force_big=True):
     if force_big and max(s) < 3:
         s[rng.randrange(n)] = rng.randrange(3, max_entry + 1)
     return tuple(s)
+
+
+def square_searches(strings):
+    """The cyclic searches of these strings that pass the entry rule and
+    the determinant test: those the metabolizer count decides."""
+    for a in strings:
+        for kind in (NEGATIVE, POSITIVE):
+            if (kind == NEGATIVE or max(a) >= 3) and is_square(gram_order(a, kind)):
+                yield a, kind
 
 
 def assert_negative_cyclic_witness(a, vectors):

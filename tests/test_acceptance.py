@@ -44,6 +44,7 @@ from qball.embedsearch import (
     EXHAUSTED,
     FOUND,
     THEOREM_GAP_STRINGS,
+    embedding_witness,
     find_embedding,
     verify_classification,
 )
@@ -102,7 +103,7 @@ def test_criterion_1_theorem_verification():
         (row.s1_strict, row.s1_relaxed, row.s2_strict, row.s2_relaxed, row.exceptional)
     )
     assert gap in THEOREM_GAP_STRINGS
-    assert_negative_cyclic_witness(gap, find_embedding(gap, NEGATIVE).witness.vectors)
+    assert_negative_cyclic_witness(gap, embedding_witness(gap, NEGATIVE).witness.vectors)
     assert gap not in enumerate_members(6, "relaxed")
     strict_discrepancies = sorted(r.string for r in strict.mismatches())
     boundary = [canonical_form((2, 3, 2, 3, 2)), canonical_form((2, 4, 2, 2, 4, 2))]

@@ -33,7 +33,14 @@ from qball.classifier import (
     string_matrix,
 )
 from qball.contfrac import homology_order, is_square
-from qball.embedsearch import DET_NONSQUARE, EXHAUSTED, NO_METABOLIZER, SEARCH, find_embedding, gram_order
+from qball.embedsearch import (
+    DET_NONSQUARE,
+    EXHAUSTED,
+    NO_METABOLIZER,
+    UNIMODULAR_RANK,
+    find_embedding,
+    gram_order,
+)
 from qball.families import enumerate_strings, mode_tag_sets, tags_of
 from qball.lattice import NEGATIVE, POSITIVE
 from conftest import hyperbolic_cycle_digitwise, random_string, s1a_square_order
@@ -368,7 +375,7 @@ def test_square_order_obstruction():
     got = find_embedding((3, 2, 2), POSITIVE)
     assert (got.outcome, got.certificate, got.nodes) == (EXHAUSTED, DET_NONSQUARE, 0)
     assert homology_order((2, 2, 2, 3, 2), "odd") == 9
-    assert find_embedding((2, 2, 2, 3, 2), NEGATIVE).certificate == SEARCH
+    assert find_embedding((2, 2, 2, 3, 2), NEGATIVE).certificate == UNIMODULAR_RANK
     # length 1 is outside the search; the classifier makes the same
     # square test on the order a1 - 2 = 1
     with pytest.raises(ValueError):

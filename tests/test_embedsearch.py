@@ -2,7 +2,9 @@
 
 import itertools
 import multiprocessing
+import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -16,16 +18,20 @@ from qball.embedsearch import (
     NO_METABOLIZER,
     SEARCH,
     THEOREM_GAP_STRINGS,
+    UNIMODULAR_RANK,
     _Engine,
     _target_gram,
+    discriminant_form,
+    embedding_witness,
     find_embedding,
     gram_order,
+    metabolizer_count,
     sweep_strings,
     verify_classification,
 )
 from qball.families import enumerate_members, in_s1, in_s2
 from qball.lattice import NEGATIVE, POSITIVE, STANDARD, classify_subset, incidence_stats
-from conftest import OracleEngine, assert_negative_cyclic_witness, naive_find
+from conftest import OracleEngine, assert_negative_cyclic_witness, naive_find, square_searches
 
 
 def canonical_strings(n, max_entry, i_max=0):
@@ -51,7 +57,7 @@ def test_base_case_completeness_n2_n3():
 
 def test_find_embedding_golden():
     assert find_embedding((3, 2, 2), NEGATIVE).outcome == EXHAUSTED
-    got = find_embedding((3, 3, 3), POSITIVE)
+    got = embedding_witness((3, 3, 3), POSITIVE)
     assert got.found
     assert (got.witness.kind, got.witness.string) == (POSITIVE, (3, 3, 3))
     assert find_embedding((2, 2, 2, 2), NEGATIVE).found
@@ -65,13 +71,25 @@ def test_find_embedding_golden():
 
 
 def test_found_witnesses_revalidate():
-    for a in sweep_strings(5):
+    # a Found without a witness is searched again by the engine, so every
+    # found of the n <= 7 sweep carries the engine's first witness and
+    # node count, and the witness revalidates
+    found = 0
+    for a in sweep_strings(7):
         for kind in (NEGATIVE, POSITIVE):
-            got = find_embedding(a, kind)
+            got = embedding_witness(a, kind)
             if got.found:
+                raw = _Engine(a, kind).run()
+                assert (got.witness.vectors, got.nodes, got.certificate) == (raw.witness.vectors, raw.nodes, SEARCH)
                 w = classify_subset(got.witness.vectors)
                 assert w.kind == kind
                 assert w.string == canonical_form(a)
+                found += 1
+    assert found == 89
+    # every other answer passes through as find_embedding gives it
+    assert embedding_witness((3, 2, 2), NEGATIVE).certificate == DET_NONSQUARE
+    got = embedding_witness((2, 4, 2, 4, 2, 4, 2, 4), NEGATIVE)
+    assert got.found and got.certificate == SEARCH and got.witness is not None
 
 
 def test_find_standard_golden():
@@ -211,13 +229,13 @@ def test_theorem_gap_string_witness():
     # and the classifier's gap-string test rely on these certificates
     members = enumerate_members(8, "relaxed")
     for a in sorted(THEOREM_GAP_STRINGS):
-        got = find_embedding(a, NEGATIVE)
+        got = embedding_witness(a, NEGATIVE)
         assert got.found, a
         assert_negative_cyclic_witness(a, got.witness.vectors)
         assert find_embedding(a, POSITIVE).outcome == EXHAUSTED, a
         assert a not in members, a
         assert not in_s1(a, "relaxed") and not in_s2(a, "relaxed"), a
-    st = incidence_stats(find_embedding((3, 3, 3, 3, 3, 3), NEGATIVE).witness)
+    st = incidence_stats(embedding_witness((3, 3, 3, 3, 3, 3), NEGATIVE).witness)
     assert st.p_count(1) == 0 and st.p_count(2) == 2
     # its standard companion: removing one vertex leaves the catalogued
     # standard subset with string (3,2,3,3,3)
@@ -279,8 +297,8 @@ def test_gram_determinant_is_homology_order():
 
 def test_prefilter_agrees_with_raw_search():
     # every search the determinant or the metabolizer certificate decides
-    # is also exhausted by the unfiltered engine; elsewhere the engine
-    # decides
+    # is also exhausted by the unfiltered engine, and every one the rank
+    # rule decides is found by it; elsewhere the engine decides
     fired = {DET_NONSQUARE: 0, NO_METABOLIZER: 0}
     for a in sweep_strings(6):
         for kind in (NEGATIVE, POSITIVE):
@@ -289,6 +307,9 @@ def test_prefilter_agrees_with_raw_search():
                 fired[got.certificate] += 1
                 assert (got.outcome, got.nodes) == (EXHAUSTED, 0), (a, kind)
                 assert _Engine(a, kind).run().outcome == EXHAUSTED, (a, kind)
+            elif got.certificate == UNIMODULAR_RANK:
+                assert (got.outcome, got.nodes, got.witness) == (FOUND, 0, None), (a, kind)
+                assert _Engine(a, kind).run().found, (a, kind)
             else:
                 assert got.certificate == SEARCH, (a, kind)
     assert fired == {DET_NONSQUARE: 273, NO_METABOLIZER: 9}
@@ -314,17 +335,68 @@ def test_prefilter_agrees_with_raw_search():
     assert fired == 1300
 
 
+def test_rank_rule_agrees_with_raw_search():
+    # at n <= 7 a metabolizer is a frame: the count is positive exactly
+    # when the raw engine finds a subset, and find_embedding then answers
+    # Found with zero nodes, on every square-determinant cyclic search of
+    # the n <= 7 sweep and of a seeded sample of strings with n <= 7
+    rng = random.Random(7)
+    sample = [tuple(rng.randrange(2, 10) for _ in range(rng.randrange(2, 8))) for _ in range(4000)]
+    checked = []
+    for strings in (sweep_strings(7), sample):
+        searches = list(square_searches(strings))
+        for a, kind in searches:
+            count = metabolizer_count(*discriminant_form(a, kind))
+            raw = _Engine(a, kind).run()
+            assert count is not None and (count > 0) == raw.found, (a, kind, count)
+            got = find_embedding(a, kind)
+            want = (FOUND, UNIMODULAR_RANK) if raw.found else (EXHAUSTED, NO_METABOLIZER)
+            assert (got.outcome, got.certificate, got.nodes, got.witness) == want + (0, None), (a, kind)
+        checked.append(len(searches))
+    assert checked == [104, 313]
+
+
+def test_rank_rule_stops_below_rank_eight():
+    # rank 8 admits E8: each of these searches has exactly one metabolizer,
+    # yet the engine exhausts it, so the rule must leave n = 8 to the engine
+    for a, kind in (
+        ((2, 2, 2, 2, 2, 4, 2, 6), POSITIVE),
+        ((2, 2, 2, 2, 2, 2, 2, 4), POSITIVE),
+        ((2, 2, 2, 2, 2, 2, 4, 4), NEGATIVE),
+    ):
+        assert metabolizer_count(*discriminant_form(a, kind)) == 1, (a, kind)
+        got = find_embedding(a, kind)
+        assert (got.outcome, got.certificate) == (EXHAUSTED, SEARCH), (a, kind)
+
+
+def test_rank_rule_needs_a_complete_count(monkeypatch):
+    # a count that a bound stopped (None) proves nothing: with no subgroup
+    # enumeration allowed, every search of the n <= 7 sweep whose count
+    # comes back None reaches the engine, which finds some and exhausts
+    # others
+    monkeypatch.setattr(embedsearch, "_SUBGROUP_CANDIDATES", 0)
+    outcomes = Counter()
+    for a, kind in square_searches(sweep_strings(7)):
+        if metabolizer_count(*discriminant_form(a, kind)) is None:
+            got = find_embedding(a, kind)
+            raw = _Engine(a, kind).run()
+            assert (got.outcome, got.certificate, got.nodes) == (raw.outcome, SEARCH, raw.nodes), (a, kind)
+            outcomes[got.outcome] += 1
+    assert outcomes == {FOUND: 41, EXHAUSTED: 2}
+
+
 def test_class_rule_keeps_the_first_witness():
     # the engine tries coefficients non-decreasing along each class of
     # columns that the placed vectors treat alike; against the engine
     # without that rule it must give the same outcome and the same first
-    # witness, in no more nodes, on every engine search of the n <= 7
-    # sweep and on the three n = 8 exhaustions that reach the engine
+    # witness, in no more nodes, on every search of the n <= 7 sweep that
+    # reaches the engine without the rank rule, and on the three n = 8
+    # exhaustions that reach the engine
     searches = [
         (a, kind)
         for a in sweep_strings(7)
         for kind in (NEGATIVE, POSITIVE)
-        if find_embedding(a, kind).certificate == SEARCH
+        if find_embedding(a, kind).certificate in (SEARCH, UNIMODULAR_RANK)
     ]
     assert len(searches) == 89
     exhaustions = [
@@ -354,7 +426,8 @@ def test_gram_det_pivots_and_zero():
     # makes the determinant 0, which is a square and never fires
     assert _gram_det((2, 2, 2), {(0, 1): 2, (1, 2): 1}) == 2
     assert _gram_det((2, 2, 3), {(0, 1): 2}) == 0
-    # all-2 negative strings have |det Q| = 4 and go to the engine
+    # all-2 negative strings have |det Q| = 4 and pass the determinant
+    # test; at n <= 7 the rank rule finds them
     assert _gram_order((2, 2, 2, 2), NEGATIVE) == 4
     got = find_embedding((2, 2, 2, 2), NEGATIVE)
-    assert got.found and got.certificate == SEARCH
+    assert got.found and got.certificate == UNIMODULAR_RANK

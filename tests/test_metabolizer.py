@@ -27,6 +27,7 @@ from qball.embedsearch import (
 )
 from qball.families import enumerate_strings
 from qball.lattice import NEGATIVE, POSITIVE, STANDARD
+from conftest import square_searches
 
 
 def _p_matrix(a, kind):
@@ -121,13 +122,6 @@ def _invariant_factors(a, kind):
     return d1, abs(R[0][0] * R[1][1] - R[0][1] * R[1][0]) // d1
 
 
-def _square_searches(strings):
-    for a in strings:
-        for kind in (NEGATIVE, POSITIVE):
-            if is_square(gram_order(a, kind)):
-                yield a, kind
-
-
 def test_oracle_counts():
     assert brute_metabolizers((3,) * 6, NEGATIVE) == 3
     assert brute_metabolizers((3,) * 8, NEGATIVE) == 0
@@ -149,7 +143,7 @@ def test_fast_count_agrees_with_oracle_on_the_sweep():
     # all square-determinant searches of sweep_strings(6): the nine
     # without a metabolizer are exactly the ones the certificate settles
     empty = []
-    cases = list(_square_searches(sweep_strings(6)))
+    cases = list(square_searches(sweep_strings(6)))
     assert len(cases) == 55
     for a, kind in cases:
         count = brute_metabolizers(a, kind)
@@ -174,7 +168,7 @@ def test_dual_has_the_same_discriminant_group_and_answer():
     # give the same invariant factors d1 | d2 and the same answer
     strings = [a for a in enumerate_strings(7, 0) if len(a) >= 3 and len(cyclic_dual(a)) >= 3]
     checked = 0
-    for a, kind in _square_searches(strings):
+    for a, kind in square_searches(strings):
         d = cyclic_dual(a)
         checked += 1
         assert _invariant_factors(a, kind) == _invariant_factors(d, kind), (a, d, kind)
@@ -182,6 +176,13 @@ def test_dual_has_the_same_discriminant_group_and_answer():
         count_d = metabolizer_count(*discriminant_form(d, kind))
         assert (count_a == 0) == (count_d == 0), (a, d, kind)
     assert checked == 96
+
+
+def test_singular_relation_matrix_is_refused():
+    # an infinite discriminant group has no metabolizer count: the Smith
+    # basis of a singular R has d2 = 0, which no prime valuation ends on
+    with pytest.raises(ValueError, match="singular"):
+        metabolizer_count(((2, -2), (-2, 2)), (2, 2, 2))
 
 
 def test_long_even_power_is_settled_without_nodes():
