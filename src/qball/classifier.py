@@ -180,11 +180,12 @@ def normalize_monodromy(m) -> MonodromyClass:
     Elliptic and parabolic classes are recognized directly; a hyperbolic
     matrix is reduced along the minus continued fraction of its repelling
     fixed point until the expansion cycles, which exhibits an explicit
-    conjugator onto a power of the block product for the cycle word.  A
-    run of 2s in the expansion is one step, so the walk takes a number of
-    steps logarithmic in the matrix entries and needs no step cap.  The
-    conjugation is certified by exact matrix equality.  An entry that is
-    not an integer raises TypeError instead of being truncated.
+    conjugator onto a power B^k of the block product B of the cycle word.
+    The walk covers the pre-period and one period, so its steps grow with
+    the logarithm of the entries, not with k, and need no cap.  k is read
+    off the traces of the powers of B, and the conjugation is certified
+    by exact equality with B^k, built by repeated squaring.  An entry
+    that is not an integer raises TypeError instead of being truncated.
     """
     m = ((index(m[0][0]), index(m[0][1])), (index(m[1][0]), index(m[1][1])))
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -202,20 +203,30 @@ def normalize_monodromy(m) -> MonodromyClass:
     word, conj = _hyperbolic_cycle(mm)
     if min(word) < 2 or max(word) < 3:
         raise NormalFormNotFound(f"degenerate cycle word {word} for {m}")
-    # certify by exact matrix equality: conj * mm * conj^-1 must be a
-    # power of the block product of the cycle word
+    # the word has an entry >= 3, so the base has trace >= 3 and the
+    # traces t_j of its powers, t_{j+1} = tr(B) t_j - t_{j-1} from
+    # t_0 = 2, grow strictly: the first t_k >= |tr| names the one
+    # candidate power
+    base = string_matrix(word)
+    tb = base[0][0] + base[1][1]
+    prev, cur, power = 2, tb, 1
+    while cur < abs(tr):
+        prev, cur, power = cur, tb * cur - prev, power + 1
+    # certify by exact matrix equality: conj * mm * conj^-1 must be B^k
     inv = ((conj[1][1], -conj[0][1]), (-conj[1][0], conj[0][0]))
     got = _mat_mul(_mat_mul(conj, mm), inv)
-    # the word has an entry >= 3, so the base has trace >= 3 and the
-    # traces of its powers grow strictly: the walk stops
-    base = string_matrix(word)
-    acc, power = base, 1
-    while acc != got:
-        if acc[0][0] + acc[1][1] > got[0][0] + got[1][1]:
-            raise NormalFormNotFound(f"cycle word {word} not certified for {m}")
-        acc = _mat_mul(acc, base)
-        power += 1
-    return Hyperbolic(sign, canonical_form(word * power))
+    acc = base
+    for bit in bin(power)[3:]:  # the bits below the leading one
+        acc = _mat_mul(acc, acc)
+        if bit == "1":
+            acc = _mat_mul(acc, base)
+    if acc != got:
+        raise NormalFormNotFound(f"cycle word {word} not certified for {m}")
+    # canonical_form(word * power) is canonical_form(word) * power: the
+    # rotations and the reversal of w^k are the k-th powers of those of
+    # w, and for |u| = |v| the first difference of u^k and v^k lies in
+    # the first copy, so u^k < v^k exactly when u < v
+    return Hyperbolic(sign, canonical_form(word) * power)
 
 
 def _normalize_elliptic(m) -> Elliptic:
@@ -258,19 +269,20 @@ def _hyperbolic_cycle(m):
     step, conjugating by (S*T^-2)^k = [[1-k, k], [-k, 1+k]].  The steps
     therefore follow the ordinary continued fraction of the fixed point,
     logarithmic in the entries, and reduction theory makes the walk
-    cycle without a cap.  States x = (p + sqrt(disc))/q are recorded only
-    before a digit >= 3, which every period has; once one repeats, the
-    digits since its first visit form the cycle word w and the composed
-    conjugator C satisfies C m C^-1 = string_matrix(w)^k.  Returns (w, C).
+    cycle without a cap.  The loop keeps only the state and the runs.
+    States x = (p + sqrt(disc))/q are recorded only before a digit >= 3,
+    which every period has; once one repeats, the digits since its first
+    visit form the cycle word w, and replaying the runs before that visit
+    builds the conjugator C with C m C^-1 = string_matrix(w)^k.  Returns
+    (w, C).
     """
     a, c, d = m[0][0], m[1][0], m[1][1]
     # c != 0: with determinant 1, c = 0 would force a = d = +-1, trace +-2
     disc = (a + d) ** 2 - 4
     f = isqrt(disc)
     p, q = d - a, -2 * c  # the repelling root ((a-d) - sqrt(disc))/(2c)
-    seen = {}  # state -> (index into runs, conjugator so far)
+    seen = {}  # state -> index into runs
     runs = []  # (digit, count)
-    conj = _ID
     while True:
         # floor((p + sqrt(disc))/q) is (p + f)//q for q > 0, (p + f + 1)//q
         # for q < 0, as sqrt(disc) lies strictly between f and f + 1
@@ -285,20 +297,29 @@ def _hyperbolic_cycle(m):
             q = (disc - r * r) // qy
             p = q - r
             runs.append((2, k))
-            conj = _mat_mul(((1 - k, k), (-k, 1 + k)), conj)
             continue
         if floor_x >= 2:
             if (p, q) in seen:
-                start, pre = seen[p, q]
-                word = tuple(x for x, n in runs[start:] for _ in range(n))
-                # undo the final S
-                return word, _mat_mul(((0, -1), (1, 0)), pre)
-            seen[p, q] = (len(runs), conj)
+                break
+            seen[p, q] = len(runs)
         digit = floor_x + 1  # ceil; the value is irrational
         runs.append((digit, 1))
-        conj = _mat_mul(_mat_mul(_S, _t_pow(-digit)), conj)
         p2 = digit * q - p
         p, q = p2, (p2 * p2 - disc) // q
+    start = seen[p, q]
+    word = tuple(x for x, n in runs[start:] for _ in range(n))
+    # the pre-period conjugator [[w, x], [y, z]], left-multiplied step by
+    # step by S*T^-digit = [[0, 1], [-1, digit]] or a run's
+    # (S*T^-2)^k = [[1-k, k], [-k, 1+k]]
+    w, x, y, z = 1, 0, 0, 1
+    for digit, n in runs[:start]:
+        if digit == 2:
+            dy, dz = n * (y - w), n * (z - x)
+            w, x, y, z = w + dy, x + dz, y + dy, z + dz
+        else:
+            w, x, y, z = y, z, digit * y - w, digit * z - x
+    # undo the final S
+    return word, ((-y, -z), (w, x))
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def cmd_member(args, out):
         {
             "string": chainstring.format_string(a),
             "mode": args.mode,
-            "in_s1": bool(tags & set(families.S1_TAGS)),
-            "in_s2": bool(tags & set(families.S2_TAGS)),
+            "in_s1": not tags.isdisjoint(families.S1_TAGS),
+            "in_s2": not tags.isdisjoint(families.S2_TAGS),
             "witnesses": [w.to_json() for w in witnesses],
         },
         out,

@@ -418,26 +418,31 @@ def _scan(a, tags, mode):
     if not tags:
         return
     n = len(a)
+    sliced = tags != ["S2c"]  # another matcher reads the rotations
     for flipped in (False, True):
         base = reverse(a) if flipped else a
         # S2c reads the cyclic blocks, parsed once per orientation: the
-        # rotation to the t-th entry >= 3 starts at block t
-        blocks = cyclic_blocks(base) if "S2c" in tags else None
+        # rotation to the t-th entry >= 3 starts at block t.  An even
+        # block count matches no rotation, so S2c then reads none
+        blocks = cyclic_blocks(base) if "S2c" in tags else ()
+        s2c = len(blocks) % 2 == 1
+        if not (sliced or s2c):
+            continue
         doubled = base + base  # rotation k is the slice at k
         t = 0
         for k in range(n):
-            s = doubled[k : k + n]
+            s = doubled[k : k + n] if sliced else None
             for tag in tags:
                 if tag != "S2c":
                     found = _MATCHERS[tag](s)
-                elif s[0] >= 3:
+                elif s2c and base[k] >= 3:
                     found = _match_s2c_blocks(blocks[t:] + blocks[:t])
                 else:
                     continue
                 for params in found:
                     if side_condition_holds(tag, params, mode):
                         yield Witness(tag, k, flipped, params)
-            t += s[0] >= 3
+            t += base[k] >= 3
 
 
 def member(a, mode: str = "strict") -> list[Witness]:

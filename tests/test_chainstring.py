@@ -76,6 +76,24 @@ def test_canonical_form_long_strings(rng):
         assert canonical_form(b) == want, a
 
 
+def test_canonical_form_of_a_power(rng):
+    # the normal form reads canonical_form(w * k) as canonical_form(w) * k;
+    # words that are themselves powers are where a shorter period could
+    # change the minimum
+    words = []
+    for _ in range(300):
+        w = tuple(rng.choice((2, 2, 3, 4, 5)) for _ in range(rng.randint(1, 8)))
+        if rng.random() < 0.3:
+            w = w[: rng.randint(1, 4)]
+            w *= rng.randint(2, 8 // len(w))
+        words.append(w)
+    for w in words:
+        cf = canonical_form(w)
+        for k in range(1, 9):
+            assert canonical_form(w * k) == cf * k, (w, k)
+            assert min(dihedral_orbit(w * k)) == cf * k, (w, k)
+
+
 def test_equivalent():
     assert equivalent((3, 2), (2, 3))
     assert equivalent((3, 2, 2, 3, 5), (5, 3, 2, 2, 3))

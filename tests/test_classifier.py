@@ -18,6 +18,7 @@ from qball.classifier import (
     ClassifierError,
     Elliptic,
     Hyperbolic,
+    NormalFormNotFound,
     Parabolic,
     braid_word,
     burau_matrix,
@@ -142,7 +143,8 @@ def test_normalize_power_strings():
 
 
 def test_normalize_high_powers():
-    # no fixed cap on the exponent: the power walk stops on the trace
+    # no fixed cap on the exponent: the walk covers one period whatever
+    # the power, and the power is read off the strictly growing traces
     for base in [(3,), (2, 4)]:
         m = _ID
         for p in range(1, 201):
@@ -150,6 +152,29 @@ def test_normalize_high_powers():
             for sign in (1, -1):
                 got = normalize_monodromy(m if sign > 0 else mat_neg(m))
                 assert got == Hyperbolic(sign, canonical_form(base * p)), (base, p, sign)
+    for base, p in [((3,), 3000), ((2, 4), 1000), ((2, 2, 3, 5, 3), 400)]:
+        m = _ID
+        for _ in range(p):
+            m = mat_mul(m, string_matrix(base))
+        for sign in (1, -1):
+            got = normalize_monodromy(m if sign > 0 else mat_neg(m))
+            assert got == Hyperbolic(sign, canonical_form(base * p)), (base, p, sign)
+
+
+def test_normalize_refuses_a_wrong_conjugator(monkeypatch):
+    # the cycle word alone certifies nothing: a conjugator that does not
+    # carry the matrix onto a power of the word's block product must
+    # raise, even when the word, and so the trace, is right
+    t = ((1, 1), (0, 1))
+    for a, p in [((3, 2), 1), ((2, 4), 5), ((5, 3, 2, 2, 3), 2)]:
+        m = conjugate(string_matrix(a * p), ((2, 1), (1, 1)))
+        word, conj = _hyperbolic_cycle(m)
+        assert normalize_monodromy(m) == Hyperbolic(1, canonical_form(a * p))
+        for wrong in (_ID, mat_mul(conj, t), mat_mul(t, conj)):
+            monkeypatch.setattr(classifier, "_hyperbolic_cycle", lambda _m, w=word, c=wrong: (w, c))
+            with pytest.raises(NormalFormNotFound):
+                normalize_monodromy(m)
+            monkeypatch.undo()
 
 
 def exponent_conjugator(rng, max_exp, length=6):
