@@ -54,7 +54,6 @@ braid group evaluated at these words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as QQ
 from math import gcd, isqrt
 from operator import index
 
@@ -606,8 +605,11 @@ def reduced_floer_rank(t: int) -> int:
     return m if m >= 0 else -(m + 1)
 
 
-def correction_term(a, t: int) -> QQ:
-    """d-invariant of the self-conjugate structure for odd twisting."""
+def correction_term(a, t: int):
+    """d-invariant of the self-conjugate structure for odd twisting, as a
+    Fraction."""
+    from fractions import Fraction as QQ  # costs every import qball a few ms
+
     if t % 2 == 0:
         raise ClassifierError(f"correction term formula needs odd t, got {t}")
     a = validate_chain(a)
@@ -617,8 +619,10 @@ def correction_term(a, t: int) -> QQ:
     return base - QQ(i_invariant(a), 4)
 
 
-def grading_shift(a) -> QQ:
-    """The overall grading shift (3n - sum a_i)/4 = -I(a)/4."""
+def grading_shift(a):
+    """The overall grading shift (3n - sum a_i)/4 = -I(a)/4, as a Fraction."""
+    from fractions import Fraction as QQ  # costs every import qball a few ms
+
     return -QQ(i_invariant(validate_chain(a)), 4)
 
 

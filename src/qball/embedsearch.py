@@ -67,15 +67,9 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt
 
-from .chainstring import canonical_form, i_invariant, validate_chain
-from .contfrac import cyclic_orders, hj_eval, is_square
-from .families import (
-    EXCEPTIONAL_TAG,
-    S1_TAGS,
-    S2_TAGS,
-    enumerate_strings,
-    mode_tag_sets,
-)
+from .chainstring import canonical_form, validate_chain
+from .contfrac import _continuants, cyclic_orders, hj_eval, is_square
+from .families import EXCEPTIONAL_TAG, S1_TAGS, S2_TAGS, _tag_sets, enumerate_strings
 from .lattice import NEGATIVE, POSITIVE, STANDARD, LatticeSubset, classify_subset
 
 FOUND = "found"
@@ -111,7 +105,7 @@ THEOREM_GAP_STRINGS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchResult:
     outcome: str
     witness: LatticeSubset | None
@@ -191,10 +185,17 @@ def discriminant_form(a, kind: str):
     e_n: rows 1, ..., n-2 of P express e_2, ..., e_{n-1} through them with
     continuant coefficients N(a_i..a_j) (the numerators of hj_eval), the
     last two rows are R, and P^-1 on the generators is read off cofactors.
-    For n = 2, R = P.  G must be finite, which the positive kind of an
-    all-2 string (|det Q| = 0) is not.
+    The five continuants come from two _continuants passes: the one on
+    a_1..a_{n-1} gives N(a_1..a_{n-1}), N(a_2..a_{n-1}), N(a_1..a_{n-2})
+    and N(a_2..a_{n-2}), the one on a gives N(a_2..a_n).  For n = 2,
+    R = P.  G must be finite, which the positive kind of an all-2 string
+    (|det Q| = 0) is not.
     """
-    order = 0 if kind == STANDARD else gram_order(a, kind)
+    return _discriminant_form(a, kind, 0 if kind == STANDARD else gram_order(a, kind))
+
+
+def _discriminant_form(a, kind, order):
+    """discriminant_form of a, given |det Q| = gram_order(a, kind)."""
     if not order:
         raise ValueError(f"no finite cyclic discriminant group of kind {kind!r} for {tuple(a)}")
     targets = _target_gram(a, kind)
@@ -203,17 +204,12 @@ def discriminant_form(a, kind: str):
         t = targets[(0, 1)]
         return ((a[0], -t), (-t, a[1])), (a[1], t, a[0])
     w = -targets[(0, n - 1)]  # the wraparound entry of P
-
-    def cont(i, j):  # N(a_i..a_j), 1 on an empty range
-        return hj_eval(a[i : j + 1]).p
-
-    R = (
-        (cont(0, n - 2), w * cont(1, n - 2) - 1),
-        (w - cont(0, n - 3), a[n - 1] - w * cont(1, n - 3)),
-    )
+    # N(a_1..a_{n-1}), N(a_2..a_{n-1}), N(a_1..a_{n-2}), N(a_2..a_{n-2})
+    p, q, s, r = _continuants(a[: n - 1])
+    R = ((p, w * q - 1), (w - s, a[n - 1] - w * r))
     if abs(R[0][0] * R[1][1] - R[0][1] * R[1][0]) != order:
         raise AssertionError(f"relation matrix of {tuple(a)} {kind} lost the determinant")
-    return R, (cont(1, n - 1), 1 - w * cont(1, n - 2), cont(0, n - 2))
+    return R, (_continuants(a)[1], 1 - w * q, p)
 
 
 # Bounds of the metabolizer count: past them it answers None and the
@@ -434,12 +430,13 @@ def metabolizer_count(R, form) -> int | None:
     return count if complete else None
 
 
-def _search(a, kind) -> SearchResult:
+def _search(a, kind, order) -> SearchResult:
     """The engine behind three certificates that answer without a node:
     a non-square |det Q| and, for the cyclic kinds, a discriminant form
     with no metabolizer prove Exhausted; a metabolizer at n <= 7 proves
     Found.  Ahead of all three, a positive cyclic subset needs an entry
-    >= 3 by definition.
+    >= 3 by definition.  a is a valid string of length >= 2 and order is
+    gram_order(a, kind); nothing is checked again.
 
     The third rule: P = -Q has diagonal a_i >= 2 and off-diagonal
     entries of total size at most 2 in each row, so it is positive
@@ -454,10 +451,10 @@ def _search(a, kind) -> SearchResult:
     t0 = time.perf_counter()
     if kind == POSITIVE and max(a) < 3:
         return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0)
-    if not is_square(gram_order(a, kind)):
+    if not is_square(order):
         return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
     if kind != STANDARD:
-        count = metabolizer_count(*discriminant_form(a, kind))
+        count = metabolizer_count(*_discriminant_form(a, kind, order))
         if count == 0:
             return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, NO_METABOLIZER)
         if count is not None and len(a) <= _UNIMODULAR_RANK_LIMIT:
@@ -585,7 +582,7 @@ def find_embedding(a, kind: str) -> SearchResult:
         raise ValueError("embedding queries need length >= 2")
     if kind not in (STANDARD, NEGATIVE, POSITIVE):
         raise ValueError(f"unknown search kind {kind!r}")
-    return _search(a, kind)
+    return _search(a, kind, gram_order(a, kind))
 
 
 def embedding_witness(a, kind: str) -> SearchResult:
@@ -601,7 +598,7 @@ def embedding_witness(a, kind: str) -> SearchResult:
 # the classification sweep
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Row:
     string: tuple[int, ...]
     i_inv: int
@@ -664,12 +661,18 @@ class Row:
 
 
 def _row_for(a) -> Row:
-    tags_strict, tags_relaxed = mode_tag_sets(a)
-    neg = find_embedding(a, NEGATIVE)
-    pos = find_embedding(a, POSITIVE)
+    """The sweep row of a, from one string profile: I(a) and the cyclic
+    orders (tr + 2, tr - 2) are computed once and feed the tag-set scan
+    and both searches.  a comes from sweep_strings, a valid canonical
+    string of length >= 2, so nothing is validated again."""
+    i_inv = sum(a) - 3 * len(a)
+    odd, even = orders = cyclic_orders(a)
+    tags_strict, tags_relaxed = _tag_sets(a, i_inv, orders)
+    neg = _search(a, NEGATIVE, odd)
+    pos = _search(a, POSITIVE, even)
     return Row(
         string=a,
-        i_inv=i_invariant(a),
+        i_inv=i_inv,
         s1_strict=not tags_strict.isdisjoint(S1_TAGS),
         s1_relaxed=not tags_relaxed.isdisjoint(S1_TAGS),
         s2_strict=not tags_strict.isdisjoint(S2_TAGS),

@@ -70,7 +70,6 @@ from .chainstring import (
     canonical_form,
     cyclic_blocks,
     dual_tail_coeffs,
-    i_invariant,
     is_palindrome,
     linear_dual,
     reverse,
@@ -397,9 +396,11 @@ _MATCHERS = {
 _TAGS_BY_I = {i: tuple(tag for tag in _MATCHERS if _I_BY_TAG[tag] == i) for i in set(_I_BY_TAG.values())}
 
 
-def _scan(a, tags, mode):
-    """Witnesses of the given template tags over the dihedral orbit of a
-    that meet the side condition of mode, in scan order.
+def _scan(a, tags, mode, i_inv, orders=None, first_strict=False):
+    """(tag, rotation, reversed, params) of every witness of the given
+    template tags over the dihedral orbit of a that meets the side
+    condition of mode, in scan order; i_inv is I(a), and orders, if
+    given, is cyclic_orders(a).
 
     Every member of a family has the I of _I_BY_TAG, so only the tags
     whose I equals I(a) are run.  Every member also bounds a rational
@@ -408,18 +409,19 @@ def _scan(a, tags, mode):
     string, tr - 2 for S2.  A string that no tag admits costs O(n).  A
     split matcher tries only the one split that meets len(c) = 1 +
     sum(b_i - 2), so a scan is O(n^2); each (rotation, reflection, tag)
-    yields at most one witness.
+    yields at most one witness.  With first_strict, a tag leaves the
+    scan after its first witness that meets the strict side condition.
     """
-    tags = [tag for tag in _TAGS_BY_I.get(i_invariant(a), ()) if tag in tags]
+    tags = [tag for tag in _TAGS_BY_I.get(i_inv, ()) if tag in tags]
     if not tags:
         return
-    odd, even = cyclic_orders(a)
+    odd, even = orders or cyclic_orders(a)
     tags = [tag for tag in tags if is_square(even if tag in S2_TAGS else odd)]
     if not tags:
         return
     n = len(a)
-    sliced = tags != ["S2c"]  # another matcher reads the rotations
     for flipped in (False, True):
+        sliced = tags != ["S2c"]  # another matcher reads the rotations
         base = reverse(a) if flipped else a
         # S2c reads the cyclic blocks, parsed once per orientation: the
         # rotation to the t-th entry >= 3 starts at block t.  An even
@@ -431,6 +433,8 @@ def _scan(a, tags, mode):
         doubled = base + base  # rotation k is the slice at k
         t = 0
         for k in range(n):
+            if not tags:
+                return
             s = doubled[k : k + n] if sliced else None
             for tag in tags:
                 if tag != "S2c":
@@ -441,7 +445,10 @@ def _scan(a, tags, mode):
                     continue
                 for params in found:
                     if side_condition_holds(tag, params, mode):
-                        yield Witness(tag, k, flipped, params)
+                        yield tag, k, flipped, params
+                        if first_strict and side_condition_holds(tag, params, "strict"):
+                            tags = [other for other in tags if other != tag]
+                            break
             t += base[k] >= 3
 
 
@@ -453,7 +460,7 @@ def member(a, mode: str = "strict") -> list[Witness]:
     """
     a = validate_chain(a)
     _check_mode(mode)
-    out = list(_scan(a, _MATCHERS, mode))
+    out = [Witness(*w) for w in _scan(a, _MATCHERS, mode, sum(a) - 3 * len(a))]
     out.sort(key=lambda w: (w.tag, w.rotation, w.reversed))
     return out
 
@@ -463,12 +470,25 @@ def tags_of(a, mode: str = "strict") -> set[str]:
 
 
 def mode_tag_sets(a) -> tuple[set[str], set[str]]:
-    """(strict, relaxed) tag sets of a from one relaxed scan: the strict
-    witnesses are the relaxed ones that meet the side conditions as
-    written."""
-    witnesses = member(a, "relaxed")
-    strict = {w.tag for w in witnesses if side_condition_holds(w.tag, w.params, "strict")}
-    return strict, {w.tag for w in witnesses}
+    """(strict, relaxed) tag sets of a: the tags of its witnesses that
+    meet the side conditions as written, and of those with S1d and S2e
+    lowered to k+l >= 2, from one relaxed scan that collects no Witness
+    and stops running a tag once both sets hold it (_tag_sets)."""
+    a = validate_chain(a)
+    return _tag_sets(a, sum(a) - 3 * len(a))
+
+
+def _tag_sets(a, i_inv, orders=None) -> tuple[set[str], set[str]]:
+    """mode_tag_sets of a valid string, given I(a) and optionally
+    cyclic_orders(a), from one relaxed scan that drops a tag at its
+    first strict witness: every strict witness is a relaxed one, so
+    both sets already hold that tag."""
+    strict, relaxed = set(), set()
+    for tag, _, _, params in _scan(a, _MATCHERS, "relaxed", i_inv, orders, first_strict=True):
+        relaxed.add(tag)
+        if side_condition_holds(tag, params, "strict"):
+            strict.add(tag)
+    return strict, relaxed
 
 
 def in_family(a, tag: str, mode: str = "strict") -> bool:
@@ -477,7 +497,7 @@ def in_family(a, tag: str, mode: str = "strict") -> bool:
         raise ValueError(f"unknown family tag {tag!r}")
     a = validate_chain(a)
     _check_mode(mode)
-    return any(_scan(a, (tag,), mode))
+    return any(_scan(a, (tag,), mode, sum(a) - 3 * len(a)))
 
 
 def in_s1(a, mode: str = "strict") -> bool:

@@ -30,7 +30,6 @@ also gives FIXTURE_DOC and the least value of each parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as QQ
 from functools import partial
 from operator import mul
 
@@ -70,6 +69,8 @@ def gram(vectors) -> tuple[tuple[int, ...], ...]:
 
 def _rank(vectors) -> int:
     # fraction-free enough for our sizes: row reduce over QQ
+    from fractions import Fraction as QQ  # costs every import qball a few ms
+
     rows = [[QQ(x) for x in v] for v in vectors]
     rank = 0
     cols = len(rows[0]) if rows else 0

@@ -258,6 +258,32 @@ def member_raw(a, mode: str) -> list:
     return out
 
 
+def member_tag_sets(a) -> tuple[set, set]:
+    """(strict, relaxed) tag sets of a read off every witness of
+    member(a, "relaxed"): the strict ones are the relaxed witnesses that
+    meet the side conditions as written.  The oracle for
+    families.mode_tag_sets, which stops scanning a tag once it is decided."""
+    witnesses = member(a, "relaxed")
+    strict = {w.tag for w in witnesses if side_condition_holds(w.tag, w.params, "strict")}
+    return strict, {w.tag for w in witnesses}
+
+
+def discriminant_form_hj(a, kind: str):
+    """embedsearch.discriminant_form with every continuant N(a_i..a_j)
+    read as the numerator of hj_eval, for a cyclic kind and n >= 3."""
+    n = len(a)
+    w = -_target_gram(a, kind)[(0, n - 1)]
+
+    def cont(i, j):  # N(a_i..a_j), 1 on an empty range
+        return hj_eval(a[i : j + 1]).p
+
+    R = (
+        (cont(0, n - 2), w * cont(1, n - 2) - 1),
+        (w - cont(0, n - 3), a[n - 1] - w * cont(1, n - 3)),
+    )
+    return R, (cont(1, n - 1), 1 - w * cont(1, n - 2), cont(0, n - 2))
+
+
 # ---------------------------------------------------------------------------
 # the engine without the class rule: every used column's coefficient runs
 # over the whole range; the oracle for _Engine's symmetry reduction among

@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from qball import classifier, families
+from qball import classifier
 from qball.chainstring import canonical_form, cyclic_dual, reverse, rotate
 from qball.classifier import (
     BOUNDS,
@@ -681,13 +681,13 @@ def test_string_memo_answers_like_a_cleared_memo(monkeypatch):
 def test_string_memo_scans_each_orbit_once(monkeypatch):
     monkeypatch.setattr(classifier, "_string_cache", {})
     scanned = []
-    real_member = families.member
+    real_mode_tag_sets = classifier.mode_tag_sets
 
-    def counting_member(a, mode="strict"):
+    def counting_mode_tag_sets(a):
         scanned.append(tuple(a))
-        return real_member(a, mode)
+        return real_mode_tag_sets(a)
 
-    monkeypatch.setattr(families, "member", counting_member)
+    monkeypatch.setattr(classifier, "mode_tag_sets", counting_mode_tag_sets)
     queried = set()
     for a, t, mode in _memo_queries(6):
         classify_surgery(a, t, mode)

@@ -58,6 +58,15 @@ def test_import_leaves_multiprocessing_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_import_leaves_fractions_unloaded():
+    # only test-only helpers (correction_term, grading_shift, _rank) use
+    # Fraction; importing the package must not pay for fractions, which
+    # also loads decimal
+    done = _checkout_python("-c", "import sys, qball; print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_classify_surgery_exit_codes():
     code, out = invoke("classify", "surgery", "--a", "6", "--t", "0")
     assert code == 0

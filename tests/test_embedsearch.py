@@ -1,5 +1,6 @@
 """The embedding engine: completeness, soundness, and the sweep driver."""
 
+import dataclasses
 import itertools
 import multiprocessing
 import random
@@ -9,7 +10,7 @@ from collections import Counter
 import pytest
 
 from qball import embedsearch
-from qball.chainstring import canonical_form
+from qball.chainstring import canonical_form, i_invariant
 from qball.contfrac import hj_eval, homology_order
 from qball.embedsearch import (
     DET_NONSQUARE,
@@ -19,7 +20,9 @@ from qball.embedsearch import (
     SEARCH,
     THEOREM_GAP_STRINGS,
     UNIMODULAR_RANK,
+    Row,
     _Engine,
+    _row_for,
     _target_gram,
     discriminant_form,
     embedding_witness,
@@ -29,9 +32,15 @@ from qball.embedsearch import (
     sweep_strings,
     verify_classification,
 )
-from qball.families import enumerate_members, in_s1, in_s2
+from qball.families import EXCEPTIONAL_TAG, S1_TAGS, S2_TAGS, enumerate_members, in_s1, in_s2, mode_tag_sets
 from qball.lattice import NEGATIVE, POSITIVE, STANDARD, classify_subset, incidence_stats
-from conftest import OracleEngine, assert_negative_cyclic_witness, naive_find, square_searches
+from conftest import (
+    OracleEngine,
+    assert_negative_cyclic_witness,
+    discriminant_form_hj,
+    naive_find,
+    square_searches,
+)
 
 
 def canonical_strings(n, max_entry, i_max=0):
@@ -431,3 +440,44 @@ def test_gram_det_pivots_and_zero():
     assert _gram_order((2, 2, 2, 2), NEGATIVE) == 4
     got = find_embedding((2, 2, 2, 2), NEGATIVE)
     assert got.found and got.certificate == UNIMODULAR_RANK
+
+
+def _public_row(a):
+    # the sweep row of a assembled from the public, validating calls
+    strict, relaxed = mode_tag_sets(a)
+    neg, pos = find_embedding(a, NEGATIVE), find_embedding(a, POSITIVE)
+    return Row(
+        string=a,
+        i_inv=i_invariant(a),
+        s1_strict=bool(strict & set(S1_TAGS)),
+        s1_relaxed=bool(relaxed & set(S1_TAGS)),
+        s2_strict=bool(strict & set(S2_TAGS)),
+        s2_relaxed=bool(relaxed & set(S2_TAGS)),
+        exceptional=EXCEPTIONAL_TAG in strict,
+        neg=neg.outcome,
+        pos=pos.outcome,
+        nodes=neg.nodes + pos.nodes,
+        ms=0.0,
+    )
+
+
+def test_row_profile_matches_the_public_calls():
+    # _row_for computes I(a) and the cyclic orders once and validates
+    # nothing; with ms masked its rows are those the public calls give
+    rows = 0
+    for a in sweep_strings(8):
+        assert dataclasses.replace(_row_for(a), ms=0.0) == _public_row(a), a
+        rows += 1
+    assert rows == 1344
+
+
+def test_discriminant_form_matches_hj_continuants():
+    # the five continuants from two _continuants passes are the hj_eval
+    # numerators of the definition, on every square cyclic search with
+    # 3 <= n <= 9 (n = 2 reads R = P directly)
+    searches = 0
+    for a, kind in square_searches(sweep_strings(9)):
+        if len(a) >= 3:
+            assert discriminant_form(a, kind) == discriminant_form_hj(a, kind), (a, kind)
+            searches += 1
+    assert searches == 460

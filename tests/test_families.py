@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from conftest import member_raw
+from conftest import member_raw, member_tag_sets
 
 from qball import families
 from qball.chainstring import (
@@ -280,6 +281,61 @@ def test_one_scan_carries_both_modes():
             if not side_condition_holds(w.tag, w.params, "strict"):
                 assert w.tag in ("S1d", "S2e") and w.params["k"] + w.params["l"] == 2, (a, w)
         assert mode_tag_sets(a) == ({w.tag for w in strict}, {w.tag for w in relaxed}), a
+
+
+def test_mode_tag_sets_match_the_member_oracle():
+    # the tag-set scan drops a tag at its first strict witness and builds
+    # no Witness; its sets must be those read off every witness of
+    # member(a, "relaxed"), on the I <= 2 universe to length 9 and duals
+    checked = 0
+    for a in enumerate_strings(9, 2):
+        for s in (a, cyclic_dual(a)):
+            assert mode_tag_sets(s) == member_tag_sets(s), s
+            checked += 1
+    assert checked == 2 * sum(1 for _ in enumerate_strings(9, 2))
+
+
+def test_tag_set_scan_makes_fewer_matcher_calls(monkeypatch):
+    # (2,2,3,2,5,4) has S2b and S2c witnesses on both orientations; once
+    # a tag has a strict witness the tag-set scan runs its matcher no more
+    calls = Counter()
+
+    def counted(tag, matcher):
+        def run(*args):
+            calls[tag] += 1
+            return matcher(*args)
+
+        return run
+
+    for tag, matcher in list(_MATCHERS.items()):
+        monkeypatch.setitem(_MATCHERS, tag, counted(tag, matcher))
+    monkeypatch.setattr(families, "_match_s2c_blocks", counted("S2c", families._match_s2c_blocks))
+    a = (2, 2, 3, 2, 5, 4)
+    witnesses = member(a, "relaxed")
+    by_member = sum(calls.values())
+    assert len(witnesses) == 11 and by_member > 0
+    calls.clear()
+    assert mode_tag_sets(a) == ({"S2a", "S2b", "S2c"},) * 2
+    assert 0 < sum(calls.values()) < by_member, (calls, by_member)
+
+
+def test_tag_set_scan_keeps_a_tag_until_a_strict_witness(monkeypatch):
+    # an S1d template has length k+l+4 and an S2e one k+l+3, so no string
+    # has both a relaxed-only and a strict witness of one tag; a stand-in
+    # S1d matcher that yields a k+l = 2 match and then k+l = 3 ones checks
+    # that the scan keeps the tag until a strict witness and then drops it
+    calls = []
+
+    def s1d(s):
+        calls.append(s)
+        b, c = ((2,), (2,)) if len(calls) == 1 else ((2, 2), (3,))
+        yield {"b": b, "c": c, "k": len(b), "l": len(c)}
+
+    monkeypatch.setitem(_MATCHERS, "S1d", s1d)
+    a = (2, 2, 4, 2, 2, 4)
+    assert mode_tag_sets(a) == ({"S1d"}, {"S1d"})
+    assert len(calls) == 2
+    assert member_tag_sets(a) == ({"S1d"}, {"S1d"})
 
 
 def test_i_table_matches_family_members():
