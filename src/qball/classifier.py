@@ -30,12 +30,12 @@ and one rule sequence serves both parities:
 Everything is decided exactly; a verdict is "Bounds", "NotBounds" or
 "Unknown" and carries the ordered list of rules that produced it.
 
-a and d are each scanned once per process, and that scan is shared by
-all twists and both modes: a module memo files one record per string
-(canonical form, cyclic dual, strict and relaxed tag sets, embedding
-answers by kind).  The decision reads only the tag sets, and the
-strict-mode boundary comes from comparing the strict and the relaxed
-tag sets of that one scan.
+a and d are each profiled once per process, for all twists and both
+modes: a module memo files one embedsearch.StringProfile per string
+orbit (the sweep rows' tag sets and cyclic searches), linked to its
+dual's.  The decision reads only the tag sets, and the strict-mode
+boundary comes from comparing the strict and the relaxed tag sets of
+that one scan.
 
 Non-membership obstructions are never taken on faith: a NotBounds that
 rests on "no embedding exists" is certified by actually running the
@@ -63,9 +63,9 @@ from .chainstring import (
     i_invariant,
     validate_chain,
 )
-from .contfrac import homology_order, is_square, monodromy_matrix
-from .embedsearch import find_embedding, gram_order
-from .families import S1_TAGS, S2_TAGS, _check_mode, in_family, mode_tag_sets
+from .contfrac import homology_order, monodromy_matrix
+from .embedsearch import StringProfile
+from .families import S1_TAGS, S2_TAGS, _check_mode, in_family
 
 BOUNDS = "Bounds"
 NOT_BOUNDS = "NotBounds"
@@ -373,52 +373,29 @@ def classify_torus_bundle(mc: MonodromyClass) -> Verdict:
 # chain-link surgeries
 
 
-class _StringRecord:
-    """What the surgery rules read about one string, up to rotation and
-    reversal: its canonical form, its cyclic dual, its tag sets by mode
-    from one membership scan, and embedding answers by kind as they are
-    asked for."""
-
-    __slots__ = ("canonical", "dual", "tags", "embeds")
-
-    def __init__(self, canonical):
-        self.canonical = canonical
-        self.dual = cyclic_dual(canonical)
-        strict, relaxed = mode_tag_sets(canonical)
-        self.tags = {"strict": strict, "relaxed": relaxed}
-        self.embeds: dict = {}
-
-
-def _record(a) -> _StringRecord:
-    """The memoized record of a (entries >= 3 somewhere), filed under a
-    as given and under its canonical form."""
+def _profiles(a) -> tuple[StringProfile, StringProfile]:
+    """The memoized profiles of a (entries >= 3 somewhere), filed under a
+    as given and canonical, and of its cyclic dual d, which is canonical
+    and whose dual is a's orbit, so the link is made once both ways."""
     rec = _string_cache.get(a)
     if rec is None:
         c = canonical_form(a)
         rec = _string_cache.get(c)
         if rec is None:
-            rec = _string_cache[c] = _StringRecord(c)
+            rec = _string_cache[c] = StringProfile(c)
         _string_cache[a] = rec
-    return rec
+    if rec.dual is None:
+        d = cyclic_dual(rec.string)
+        rec_d = _string_cache.get(d)
+        if rec_d is None:
+            rec_d = _string_cache[d] = StringProfile(d)
+        rec.dual, rec_d.dual = rec_d, rec
+    return rec, rec.dual
 
 
-# string -> _StringRecord, for the life of the process: every twist and
-# both modes read one record per string
+# string -> StringProfile, for the life of the process: every twist and
+# both modes read one profile per string orbit
 _string_cache: dict = {}
-
-
-def _embedding_exists(rec, kind) -> bool:
-    """Existence of a cyclic subset for the record's string, memoized in
-    the record.  The search runs on the canonical form, so every
-    representative of the orbit shares one answer."""
-    embeds = rec.embeds
-    if kind not in embeds:
-        c = rec.canonical
-        if len(c) == 1:  # one 2-handle: the prefilter's square test is exact
-            embeds[kind] = is_square(gram_order(c, kind))
-        else:
-            embeds[kind] = find_embedding(c, kind).found
-    return embeds[kind]
 
 
 def _obstructed(a, rec_a, rec_d, side) -> Verdict | None:
@@ -429,14 +406,13 @@ def _obstructed(a, rec_a, rec_d, side) -> Verdict | None:
     exhausted searches prove NotBounds outright.  A found embedding
     cannot conclude.
     """
-    d = rec_a.dual
     kind = f"{side}_cyclic"
-    if not _embedding_exists(rec_a, kind) and not _embedding_exists(rec_d, kind):
+    if not rec_a.search(kind).found and not rec_d.search(kind).found:
         return _verdict(
             NOT_BOUNDS,
             Reason(
                 f"{side}-embedding-exhausted",
-                f"neither {tuple(a)} nor its dual {tuple(d)} admits the "
+                f"neither {tuple(a)} nor its dual {rec_d.string} admits the "
                 f"{side}-side lattice embedding (non-existence is exact)",
             ),
         )
@@ -470,12 +446,11 @@ def classify_surgery(a, t: int, mode: str = "strict") -> Verdict:
             Reason("all-two-even", f"no rule covers even twisting t = {t} here"),
         )
 
-    rec_a = _record(a)
-    rec_d = _record(rec_a.dual)
+    rec_a, rec_d = _profiles(a)
     if mode == "relaxed":
         return _decide(a, t, rec_a, rec_d, "relaxed")
     verdict = _decide(a, t, rec_a, rec_d, "strict")
-    if all(rec.tags["strict"] == rec.tags["relaxed"] for rec in (rec_a, rec_d)):
+    if rec_a.strict == rec_a.relaxed and rec_d.strict == rec_d.relaxed:
         return verdict
     relaxed = _decide(a, t, rec_a, rec_d, "relaxed")
     if relaxed.status == verdict.status:
@@ -489,9 +464,9 @@ def classify_surgery(a, t: int, mode: str = "strict") -> Verdict:
 
 
 def _decide(a, t: int, rec_a, rec_d, mode) -> Verdict:
-    """The verdict for a hyperbolic Y(a, t) from the records of a and of
+    """The verdict for a hyperbolic Y(a, t) from the profiles of a and of
     its cyclic dual d, reading the tag sets of mode."""
-    d = rec_a.dual
+    d = rec_d.string
     if len(a) == 1 and t in (0, -1):
         m = a[0]
         if t == 0:
@@ -513,7 +488,7 @@ def _decide(a, t: int, rec_a, rec_d, mode) -> Verdict:
         )
     if t == 1:
         # reversing orientation turns Y(a, 1) into Y(d, -1); the dual of
-        # d is a up to rotation and reversal, so a's record serves it
+        # d is a up to rotation and reversal, so a's profile serves it
         v = _decide(d, -1, rec_d, rec_a, mode)
         return Verdict(
             v.status,
@@ -524,7 +499,7 @@ def _decide(a, t: int, rec_a, rec_d, mode) -> Verdict:
         parity, family, side = "even", S2_TAGS, "positive"
     else:
         parity, family, side = "odd", S1_TAGS, "negative"
-    tags_a, tags_d = rec_a.tags[mode], rec_d.tags[mode]
+    tags_a, tags_d = getattr(rec_a, mode), getattr(rec_d, mode)  # .strict or .relaxed
     if t in (0, -1):
         found = tags_a.intersection(family)
         if found:

@@ -44,10 +44,11 @@ rank n, and for n <= 7 every positive definite one is Z^n (Conway and
 Sloane, SPLAG ch. 16), so a positive count at n <= 7 proves Found; rank
 8 admits E8, and there the engine decides.
 
-find_embedding is the decider: the sweep and the classifier read only
-its outcome, and a Found from the rank rule carries no witness.
-embedding_witness() is the same answer with a witness on every Found,
-built by the engine where the rank rule answered; the CLI prints it.
+_search decides for find_embedding and for StringProfile, the one
+per-string pipeline of the sweep rows and the classifier; a Found from
+the rank rule carries no witness.  embedding_witness() is
+find_embedding's answer with a witness on every Found, built by the
+engine where the rank rule answered; the CLI prints it.
 
 The sweep driver verify_classification() runs both cyclic searches for
 every canonical string with an entry >= 3 and I <= 0 up to a given
@@ -435,8 +436,9 @@ def _search(a, kind, order) -> SearchResult:
     a non-square |det Q| and, for the cyclic kinds, a discriminant form
     with no metabolizer prove Exhausted; a metabolizer at n <= 7 proves
     Found.  Ahead of all three, a positive cyclic subset needs an entry
-    >= 3 by definition.  a is a valid string of length >= 2 and order is
-    gram_order(a, kind); nothing is checked again.
+    >= 3 by definition.  a is a valid string, of length >= 2 for the
+    standard kind, and order is gram_order(a, kind); nothing is checked
+    again.  At n = 1, G is cyclic of square order, so it has one metabolizer.
 
     The third rule: P = -Q has diagonal a_i >= 2 and off-diagonal
     entries of total size at most 2 in each row, so it is positive
@@ -454,7 +456,7 @@ def _search(a, kind, order) -> SearchResult:
     if not is_square(order):
         return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, DET_NONSQUARE)
     if kind != STANDARD:
-        count = metabolizer_count(*_discriminant_form(a, kind, order))
+        count = 1 if len(a) == 1 else metabolizer_count(*_discriminant_form(a, kind, order))
         if count == 0:
             return SearchResult(EXHAUSTED, None, 0, time.perf_counter() - t0, NO_METABOLIZER)
         if count is not None and len(a) <= _UNIMODULAR_RANK_LIMIT:
@@ -594,6 +596,31 @@ def embedding_witness(a, kind: str) -> SearchResult:
     return got
 
 
+class StringProfile:
+    """What a sweep row and the classifier read about one valid canonical
+    string, unvalidated: I(a), cyclic_orders(a), the tag sets of one
+    membership scan and the two cyclic searches, each run on first ask
+    by search(kind); dual is the cyclic dual's profile once linked."""
+
+    __slots__ = ("string", "i_inv", "orders", "strict", "relaxed", "_neg", "_pos", "dual")
+
+    def __init__(self, a):
+        self.string = a
+        self.i_inv = sum(a) - 3 * len(a)
+        self.orders = cyclic_orders(a)
+        self.strict, self.relaxed = _tag_sets(a, self.i_inv, self.orders)
+        self._neg = self._pos = self.dual = None
+
+    def search(self, kind: str) -> SearchResult:
+        if kind == NEGATIVE:
+            self._neg = self._neg or _search(self.string, kind, self.orders[0])
+            return self._neg
+        if kind == POSITIVE:
+            self._pos = self._pos or _search(self.string, kind, self.orders[1])
+            return self._pos
+        raise ValueError(f"a string profile holds only the cyclic searches, not {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # the classification sweep
 
@@ -661,23 +688,18 @@ class Row:
 
 
 def _row_for(a) -> Row:
-    """The sweep row of a, from one string profile: I(a) and the cyclic
-    orders (tr + 2, tr - 2) are computed once and feed the tag-set scan
-    and both searches.  a comes from sweep_strings, a valid canonical
-    string of length >= 2, so nothing is validated again."""
-    i_inv = sum(a) - 3 * len(a)
-    odd, even = orders = cyclic_orders(a)
-    tags_strict, tags_relaxed = _tag_sets(a, i_inv, orders)
-    neg = _search(a, NEGATIVE, odd)
-    pos = _search(a, POSITIVE, even)
+    """The sweep row of a, read off its StringProfile.  a comes from
+    sweep_strings, a valid canonical string of length >= 2."""
+    p = StringProfile(a)
+    neg, pos = p.search(NEGATIVE), p.search(POSITIVE)
     return Row(
         string=a,
-        i_inv=i_inv,
-        s1_strict=not tags_strict.isdisjoint(S1_TAGS),
-        s1_relaxed=not tags_relaxed.isdisjoint(S1_TAGS),
-        s2_strict=not tags_strict.isdisjoint(S2_TAGS),
-        s2_relaxed=not tags_relaxed.isdisjoint(S2_TAGS),
-        exceptional=EXCEPTIONAL_TAG in tags_strict,
+        i_inv=p.i_inv,
+        s1_strict=not p.strict.isdisjoint(S1_TAGS),
+        s1_relaxed=not p.relaxed.isdisjoint(S1_TAGS),
+        s2_strict=not p.strict.isdisjoint(S2_TAGS),
+        s2_relaxed=not p.relaxed.isdisjoint(S2_TAGS),
+        exceptional=EXCEPTIONAL_TAG in p.strict,
         neg=neg.outcome,
         pos=pos.outcome,
         nodes=neg.nodes + pos.nodes,

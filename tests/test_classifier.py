@@ -679,22 +679,32 @@ def test_string_memo_answers_like_a_cleared_memo(monkeypatch):
 
 
 def test_string_memo_scans_each_orbit_once(monkeypatch):
+    # one StringProfile (one membership scan) per orbit of a and of d,
+    # and one cyclic_dual per queried orbit at most
     monkeypatch.setattr(classifier, "_string_cache", {})
-    scanned = []
-    real_mode_tag_sets = classifier.mode_tag_sets
+    scanned, dualized = [], []
+    real_profile, real_dual = classifier.StringProfile, classifier.cyclic_dual
 
-    def counting_mode_tag_sets(a):
+    def counting_profile(a):
         scanned.append(tuple(a))
-        return real_mode_tag_sets(a)
+        return real_profile(a)
 
-    monkeypatch.setattr(classifier, "mode_tag_sets", counting_mode_tag_sets)
-    queried = set()
+    def counting_dual(a):
+        dualized.append(canonical_form(a))
+        return real_dual(a)
+
+    monkeypatch.setattr(classifier, "StringProfile", counting_profile)
+    monkeypatch.setattr(classifier, "cyclic_dual", counting_dual)
+    queried, queried_a = set(), set()
     for a, t, mode in _memo_queries(6):
         classify_surgery(a, t, mode)
         if max(a) >= 3:
             queried |= {canonical_form(a), cyclic_dual(a)}
+            queried_a.add(canonical_form(a))
     assert len(scanned) == len(set(scanned)) == len(queried)
     assert set(scanned) == queried
+    assert len(dualized) == len(set(dualized))
+    assert set(dualized) <= queried_a
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 from qball import embedsearch
-from qball.chainstring import canonical_form, i_invariant
-from qball.contfrac import hj_eval, homology_order
+from qball.chainstring import canonical_form, cyclic_dual, i_invariant
+from qball.contfrac import cyclic_orders, hj_eval, homology_order, is_square
 from qball.embedsearch import (
     DET_NONSQUARE,
     EXHAUSTED,
@@ -21,6 +21,7 @@ from qball.embedsearch import (
     THEOREM_GAP_STRINGS,
     UNIMODULAR_RANK,
     Row,
+    StringProfile,
     _Engine,
     _row_for,
     _target_gram,
@@ -32,7 +33,16 @@ from qball.embedsearch import (
     sweep_strings,
     verify_classification,
 )
-from qball.families import EXCEPTIONAL_TAG, S1_TAGS, S2_TAGS, enumerate_members, in_s1, in_s2, mode_tag_sets
+from qball.families import (
+    EXCEPTIONAL_TAG,
+    S1_TAGS,
+    S2_TAGS,
+    enumerate_members,
+    enumerate_strings,
+    in_s1,
+    in_s2,
+    mode_tag_sets,
+)
 from qball.lattice import NEGATIVE, POSITIVE, STANDARD, classify_subset, incidence_stats
 from conftest import (
     OracleEngine,
@@ -469,6 +479,43 @@ def test_row_profile_matches_the_public_calls():
         assert dataclasses.replace(_row_for(a), ms=0.0) == _public_row(a), a
         rows += 1
     assert rows == 1344
+
+
+def test_string_profile_matches_the_public_api():
+    # the sweep rows and the classifier read strings only through their
+    # profile; it must say what the validating public calls say, on
+    # every classifier string of length <= 7 and its cyclic dual
+    strings = set()
+    for a in enumerate_strings(7, 0):
+        strings |= {a, cyclic_dual(a)}
+    assert len(strings) == 677
+    for c in sorted(strings):
+        p = StringProfile(c)
+        assert (p.string, p.i_inv, p.orders) == (c, i_invariant(c), cyclic_orders(c))
+        assert (p.strict, p.relaxed) == mode_tag_sets(c), c
+        if len(c) < 2:
+            continue
+        for kind in (NEGATIVE, POSITIVE):
+            got, want = p.search(kind), find_embedding(c, kind)
+            assert (got.outcome, got.certificate, got.nodes) == (want.outcome, want.certificate, want.nodes)
+            assert got.witness == want.witness
+            assert p.search(kind) is got  # run once
+    with pytest.raises(ValueError):
+        p.search(STANDARD)
+
+
+def test_rank_one_profile_is_the_square_order_test():
+    # at n = 1 G is cyclic, so a square |det Q| alone decides; the
+    # positive side needs an entry >= 3 first
+    for kind, low in ((NEGATIVE, 2), (POSITIVE, 3)):
+        for m in range(low, 61):
+            got = StringProfile((m,)).search(kind)
+            square = is_square(gram_order((m,), kind))
+            assert got.found == square, (m, kind)
+            assert (got.certificate, got.nodes) == (UNIMODULAR_RANK if square else DET_NONSQUARE, 0)
+            with pytest.raises(ValueError):
+                find_embedding((m,), kind)
+    assert StringProfile((2,)).search(POSITIVE).outcome == EXHAUSTED
 
 
 def test_discriminant_form_matches_hj_continuants():
