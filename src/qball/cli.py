@@ -6,23 +6,23 @@ passed as comma-separated coefficients, e.g. --a 3,2,2,3,5.
 
 Exit codes: 0 on success, 2 when a classification came out Unknown (so
 scripts can branch on it), 1 on usage errors.
+
+COMMANDS maps each command to its help, handler, optional positional with
+its choices, and long options {name: (kind, default, help)}.  A kind is int,
+a tuple of choices, bool for a flag or the metavar of a string; a _REQUIRED
+default makes an option required, and of the _ONE_OF options exactly one is
+given.  parse_args reads argv against it through getopt.gnu_getopt.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import os
 import sys
+import types
 
 from . import chainstring, classifier, contfrac, embedsearch, families, lattice
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _emit(obj, out):
@@ -205,66 +205,95 @@ def cmd_fixtures(args, out):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qball", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED, _ONE_OF = object(), object()
 
-    p = sub.add_parser("dual", help="linear or cyclic dual of a string")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cyclic", metavar="CSV")
-    group.add_argument("--linear", metavar="CSV")
-    p.set_defaults(func=cmd_dual)
+COMMANDS = {
+    "dual": ("linear or cyclic dual of a string", cmd_dual, None, {
+        "cyclic": ("CSV", _ONE_OF, "cyclic dual"), "linear": ("CSV", _ONE_OF, "linear dual")}),
+    "member": ("family membership witnesses", cmd_member, None, {
+        "a": ("CSV", _REQUIRED, "the string"), "mode": (families.MODES, "strict", "side conditions")}),
+    "embed": ("search for a lattice subset", cmd_embed, None, {
+        "a": ("CSV", _REQUIRED, "the string"), "kind": (tuple(sorted(_KINDS)), _REQUIRED, "lattice")}),
+    "homology": ("homology orders of the surgeries", cmd_homology, None, {"a": ("CSV", _REQUIRED, "the string")}),
+    "classify": ("rational ball / circle verdicts", cmd_classify, ("what", ("surgery", "bundle", "braid")), {
+        "a": ("CSV", None, "surgery and braid"), "t": (int, 0, "surgery and braid"),
+        "matrix": ("A,B,C,D", None, "bundle monodromy"), "mode": (families.MODES, "strict", "surgery and braid")}),
+    "braid": ("braid word whose double cover is the surgery", cmd_braid, None, {
+        "a": ("CSV", _REQUIRED, "the string"), "t": (int, 0, "twist")}),
+    "verify": ("exhaustive embedding-vs-family sweep", cmd_verify, None, {
+        "max-n": (int, _REQUIRED, "longest string"), "mode": (families.MODES, "relaxed", ""),
+        "workers": (int, os.cpu_count() or 1, ""), "csv": (bool, False, ""), "out": ("PATH", None, ""),
+        "skip-until": ("CSV", None, "first string of the sweep")}),
+    "fixtures": ("named subsets from the catalog", cmd_fixtures, None, {
+        "name": ("NAME", None, "all names if omitted"), **{key: (int, None, "parameter") for key in "nkxy"}}),
+}
 
-    p = sub.add_parser("member", help="family membership witnesses")
-    p.add_argument("--a", required=True, metavar="CSV")
-    p.add_argument("--mode", choices=families.MODES, default="strict")
-    p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("embed", help="search for a lattice subset")
-    p.add_argument("--a", required=True, metavar="CSV")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
-    p.set_defaults(func=cmd_embed)
+def _options(command):
+    """(usage word, help) of each option of a command."""
+    for name, (kind, default, text) in COMMANDS[command][3].items():
+        word = f"--{name}" + ("" if kind is bool else f" {kind}" if isinstance(kind, str) else " INT" if kind is int
+                              else " {%s}" % ",".join(kind))
+        yield (word if default is _REQUIRED else f"[{word}]"), text
 
-    p = sub.add_parser("homology", help="homology orders of the surgeries")
-    p.add_argument("--a", required=True, metavar="CSV")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("classify", help="rational ball / circle verdicts")
-    p.add_argument("what", choices=("surgery", "bundle", "braid"))
-    p.add_argument("--a", metavar="CSV")
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--matrix", metavar="A,B,C,D", help="bundle monodromy entries")
-    p.add_argument("--mode", choices=families.MODES, default="strict", help="surgery and braid only")
-    p.set_defaults(func=cmd_classify)
+def _usage(command):
+    if command is None:
+        return "usage: qball {%s} ..." % ",".join(COMMANDS)
+    positional = COMMANDS[command][2]
+    words = ["{%s}" % ",".join(positional[1])] if positional else []
+    return " ".join(["usage: qball", command] + words + [word for word, _ in _options(command)])
 
-    p = sub.add_parser("braid", help="braid word whose double cover is the surgery")
-    p.add_argument("--a", required=True, metavar="CSV")
-    p.add_argument("--t", type=int, default=0)
-    p.set_defaults(func=cmd_braid)
 
-    p = sub.add_parser("verify", help="exhaustive embedding-vs-family sweep")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--mode", choices=families.MODES, default="relaxed")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--skip-until", metavar="CSV", dest="skip_until")
-    p.set_defaults(func=cmd_verify)
+def _fail(command, message):
+    print(f"{_usage(command)}\nqball{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
 
-    p = sub.add_parser("fixtures", help="named subsets from the catalog")
-    p.add_argument("--name")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--x", type=int)
-    p.add_argument("--y", type=int)
-    p.set_defaults(func=cmd_fixtures)
 
-    return parser
+def _help(command):
+    head = __doc__.split("\n\nCOMMANDS")[0] if command is None else COMMANDS[command][0]
+    rows = [(name, spec[0]) for name, spec in COMMANDS.items()] if command is None else _options(command)
+    print("\n".join([_usage(command), "", head, ""] + [f"  {a:<28} {b}".rstrip() for a, b in rows]))
+    raise SystemExit(0)
+
+
+def parse_args(argv):
+    """Read argv against COMMANDS: the handler and a namespace holding
+    every option of the command.  Usage errors exit 1; -h exits 0."""
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        _help(command if command in COMMANDS else None)
+    if command not in COMMANDS:
+        _fail(None, f"argument command: choose one of {', '.join(COMMANDS)}")
+    _, handler, positional, options = COMMANDS[command]
+    try:
+        pairs, rest = getopt.gnu_getopt(argv[1:], "", [name + "=" * (s[0] is not bool) for name, s in options.items()])
+    except getopt.GetoptError as exc:
+        _fail(command, str(exc))
+    values = {name: spec[1] for name, spec in options.items()}
+    for opt, value in pairs:
+        kind = options[opt[2:]][0]
+        try:
+            values[opt[2:]] = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            _fail(command, f"argument {opt}: invalid int value: {value!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            _fail(command, f"argument {opt}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+    if positional:
+        values[positional[0]] = rest.pop(0) if rest and rest[0] in positional[1] else _REQUIRED
+    if rest:
+        _fail(command, f"unrecognized arguments: {' '.join(rest)}")
+    missing = [("--" if name in options else "") + name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    one_of = [name for name, spec in options.items() if spec[1] is _ONE_OF]
+    if one_of and sum(values[name] is not _ONE_OF for name in one_of) != 1:
+        _fail(command, f"give exactly one of {', '.join('--' + name for name in one_of)}")
+    return handler, types.SimpleNamespace(**{k.replace("-", "_"): None if v is _ONE_OF else v for k, v in values.items()})
 
 
 def run(argv=None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     close = False
     if out is None:
         if getattr(args, "out", None):
@@ -274,7 +303,7 @@ def run(argv=None, out=None) -> int:
             out = sys.stdout
     try:
         try:
-            return args.func(args, out)
+            return handler(args, out)
         except (chainstring.StringError, contfrac.ContfracError, ValueError) as exc:
             print(f"qball: error: {exc}", file=sys.stderr)
             return 1

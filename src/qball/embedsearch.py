@@ -741,6 +741,8 @@ def verify_classification(
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     strings = list(sweep_strings(max_n))
     if skip_until is not None:
         start = canonical_form(skip_until)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qball.cli import run
+from qball.cli import COMMANDS, run
 from qball.embedsearch import verify_classification
 
 
@@ -58,6 +58,18 @@ def test_import_leaves_multiprocessing_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_run_leaves_argparse_and_locale_unloaded():
+    # the command table is read through getopt; a command must not pay
+    # for argparse, nor for the locale import its gettext lookups make
+    done = _checkout_python(
+        "-c",
+        "import io, sys; from qball import cli; cli.run(['dual', '--cyclic', '3,2'], out=io.StringIO()); "
+        "print(sorted({'argparse', 'locale'} & set(sys.modules)))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_import_leaves_fractions_unloaded():
     # only test-only helpers (correction_term, grading_shift, _rank) use
     # Fraction; importing the package must not pay for fractions, which
@@ -91,8 +103,8 @@ def test_classify_bundle():
 
 
 def test_classify_bundle_large_negative_entries():
-    # string_matrix((3, 2)) conjugated by [[1, 0], [10^6, 1]]; negative
-    # entries need the --matrix=... form, or argparse reads an option
+    # string_matrix((3, 2)) conjugated by [[1, 0], [10^6, 1]], in the
+    # --matrix=... form; the separate --matrix -1,... form is parsed too
     code, out = invoke("classify", "bundle", "--matrix=-1999995,2,-1999994000003,1999999")
     assert code == 0
     assert lines(out)[0]["class"] == "Hyperbolic(sign=1, string=(2, 3))"
@@ -254,3 +266,85 @@ def test_out_file_untouched_on_usage_error(tmp_path):
     code = run(["verify", "--max-n", "4", "--skip-until", "9,9", "--out", str(path)])
     assert code == 1
     assert path.read_bytes() == b"keep\n"
+
+
+def test_option_forms():
+    # --opt value, --opt=value and a unique prefix all read the same option
+    for argv in (["--max-n", "3"], ["--max-n=3"], ["--max", "3"]):
+        code, out = invoke("verify", *argv, "--workers", "1")
+        assert code == 0 and lines(out)[-1] == {"rows": 9, "mismatches": []}, argv
+    # a value may start with '-', in either form
+    for argv in (["--t", "-1"], ["--t=-1"]):
+        code, out = invoke("classify", "surgery", "--a", "7", *argv)
+        assert lines(out)[0]["t"] == -1, argv
+    for argv in (["--matrix", "-1,-5,0,-1"], ["--matrix=-1,-5,0,-1"]):
+        code, out = invoke("classify", "bundle", *argv)
+        assert lines(out)[0]["status"] == "Bounds", argv
+    # a positional may follow the options
+    code, out = invoke("classify", "--a", "6", "--t", "0", "surgery")
+    assert lines(out)[0]["status"] == "Bounds"
+
+
+def test_repeated_option_last_wins():
+    code, out = invoke("classify", "surgery", "--a", "7", "--t", "5", "--t", "-1")
+    assert lines(out)[0]["t"] == -1
+    code, out = invoke("dual", "--cyclic", "2,2,2", "--cyclic", "3,2")
+    assert lines(out) == [{"dual": "4"}]
+
+
+def test_help_names_every_table_entry(capsys):
+    for argv, names in [(["-h"], list(COMMANDS)), (["--help"], list(COMMANDS))] + [
+        ([command, flag], [f"--{name}" for name in spec[3]] + list((spec[2] or ((), ()))[1]))
+        for flag in ("-h", "--help")
+        for command, spec in COMMANDS.items()
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0, argv
+        help_text = capsys.readouterr().out
+        assert help_text.startswith("usage: qball"), argv
+        assert all(name in help_text for name in names), (argv, names)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],  # missing required option
+        ["embed", "--a", "3,3"],  # missing required choice option
+        ["verify", "--max-n", "3", "--bogus"],  # unknown option
+        ["classify", "surgery", "--a", "7", "--m", "strict"],  # ambiguous prefix
+        ["bogus"],  # unknown command
+        [],  # no command
+        ["verify", "--max-n", "three"],  # bad int
+        ["classify", "surgery", "--a", "7", "--t", "1.5"],  # bad int
+        ["verify", "--max-n", "3", "--mode", "lax"],  # bad choice
+        ["classify", "bogus", "--a", "7"],  # bad positional choice
+        ["classify", "--a", "7"],  # missing positional
+        ["dual", "--cyclic", "3,2", "--linear", "2,2,2"],  # both either/or options
+        ["dual"],  # neither either/or option
+        ["homology", "--a", "3,2", "stray"],  # stray positional
+        ["dual", "--cyclic", "3,2", "--", "--linear"],  # after --, positional
+    ],
+)
+def test_usage_error_exits_1_before_output(argv, capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(argv, out=out)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert out.getvalue() == "" and captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err[0].startswith("usage: qball")
+    assert err[-1].startswith("qball") and ": error: " in err[-1]
+
+
+def test_verify_workers_below_one_exit_1(tmp_path, capsys):
+    path = tmp_path / "report.jsonl"
+    path.write_bytes(b"keep\n")
+    for workers in ("0", "-3"):
+        code, out = invoke("verify", "--max-n", "3", "--workers", workers)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"qball: error: workers must be >= 1, got {workers}\n"
+        assert run(["verify", "--max-n", "3", "--workers", workers, "--out", str(path)]) == 1
+        assert path.read_bytes() == b"keep\n"
+        capsys.readouterr()

@@ -187,6 +187,12 @@ def test_verify_skip_until_outside_universe():
         verify_classification(4, "relaxed", skip_until=(9, 9))
 
 
+def test_verify_rejects_fewer_than_one_worker():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            verify_classification(3, "relaxed", workers=workers)
+
+
 # State for _gated_row, inherited by the forked pool workers.
 _GATE: dict = {}
 
