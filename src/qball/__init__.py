@@ -10,7 +10,7 @@ Modules:
 * chainstring - cyclic coefficient strings, duals, canonical forms
 * contfrac    - Hirzebruch-Jung continued fractions, homology orders
 * families    - the ten string families and their deciders/enumerators
-* lattice     - subsets of (Z^n, -Id), contractions, named fixtures
+* lattice     - subsets of (Z^n, -Id), incidence counts, named fixtures
 * embedsearch - exhaustive embedding search and the verification sweep
 * classifier  - bounding verdicts, monodromy normal forms, 3-braid view
 * cli         - the qball command

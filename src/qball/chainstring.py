@@ -1,4 +1,4 @@
-"""Cyclic coefficient strings: equivalence, duals, and blowdown transforms.
+"""Cyclic coefficient strings: equivalence, duals and the I invariant.
 
 A chain of surgery coefficients (-a_1, ..., -a_n) with all a_i >= 2 is
 recorded as the plain tuple (a_1, ..., a_n).  Two strings describe the
@@ -29,14 +29,6 @@ class StringError(ValueError):
 
 class AllTwosError(StringError):
     """Raised where an all-2 string has no defined result."""
-
-
-class DegenerateCoefficientError(StringError):
-    """Raised when a blowdown transform produces a 0 or +-1 coefficient.
-
-    Such coefficients would call for further blowdowns that are not part
-    of the transform, so they are reported instead of being reduced.
-    """
 
 
 def validate_chain(a) -> tuple[int, ...]:
@@ -71,13 +63,6 @@ def format_string(a) -> str:
     return ",".join(str(x) for x in a)
 
 
-def rotate(a, k: int) -> tuple[int, ...]:
-    """Left rotation by k (mod n)."""
-    a = tuple(a)
-    k %= len(a)
-    return a[k:] + a[:k]
-
-
 def reverse(a) -> tuple[int, ...]:
     return tuple(reversed(tuple(a)))
 
@@ -106,21 +91,6 @@ def i_invariant(a) -> int:
     """The complexity invariant I(a) = sum(a_i - 3)."""
     a = validate_chain(a)
     return sum(a) - 3 * len(a)
-
-
-def is_palindrome(b) -> bool:
-    b = tuple(b)
-    if not b:
-        raise StringError("palindrome test needs a nonempty string")
-    return b == reverse(b)
-
-
-def power_concat(a, p: int) -> tuple[int, ...]:
-    """a repeated p times; multiplies the I invariant by p."""
-    a = validate_chain(a)
-    if p < 1:
-        raise StringError(f"power must be >= 1, got {p}")
-    return a * p
 
 
 def linear_dual(b) -> tuple[int, ...]:
@@ -184,30 +154,3 @@ def cyclic_dual(a) -> tuple[int, ...]:
     return canonical_form(out)
 
 
-def dual_tail_coeffs(a, i: int) -> tuple[int, ...]:
-    """Mixed-sign chain coefficients with the tail replaced by its dual.
-
-    Splits a = (a_1, ..., a_i | a_{i+1}, ..., a_n), negates the head
-    with its two end entries reduced by 1 (both reductions land on a_1
-    when i = 1), and appends the linear dual of the tail:
-
-        (-(a_1-1), -a_2, ..., -(a_i-1), d_1, ..., d_j).
-
-    Raises DegenerateCoefficientError if any output coefficient is 0 or
-    +-1, since those would require further blowdowns.
-    """
-    a = validate_chain(a)
-    n = len(a)
-    if not 1 <= i <= n - 1:
-        raise StringError(f"split index {i} out of range for length {n}")
-    head = list(a[:i])
-    head[0] -= 1
-    head[-1] -= 1
-    tail_dual = linear_dual(a[i:])
-    out = tuple(-x for x in head) + tail_dual
-    for x in out:
-        if abs(x) <= 1:
-            raise DegenerateCoefficientError(
-                f"transform of {a} at split {i} yields coefficient {x}"
-            )
-    return out

@@ -45,6 +45,10 @@ search finds an embedding for a non-member (this happens: the strings
 negative cyclic subsets without lying in S1), the obstruction is
 silent and the verdict is Unknown rather than an unsound NotBounds.
 
+The one piece of Heegaard Floer data kept is correction_term, the
+d-invariant of the self-conjugate structure at odd twisting, +-1 - I(a)/4
+with the sign of t: the quantity the dual-S1a-odd-order reason cites.
+
 A braid-level view comes along for free: Y(a, t) is the double branched
 cover of the closure of (s1 s2)^(3t) s1 s2^-(a_1-2) ... s1 s2^-(a_n-2),
 and the homological checks can be read off a 2x2 representation of the
@@ -66,6 +70,7 @@ from .chainstring import (
 from .contfrac import homology_order, monodromy_matrix
 from .embedsearch import StringProfile
 from .families import S1_TAGS, S2_TAGS, _check_mode, in_family
+from .lattice import NEGATIVE, POSITIVE
 
 BOUNDS = "Bounds"
 NOT_BOUNDS = "NotBounds"
@@ -398,15 +403,14 @@ def _profiles(a) -> tuple[StringProfile, StringProfile]:
 _string_cache: dict = {}
 
 
-def _obstructed(a, rec_a, rec_d, side) -> Verdict | None:
+def _obstructed(a, rec_a, rec_d, side, kind) -> Verdict | None:
     """Certified non-existence verdict, or None when the search is silent.
 
     A surgery that bounds forces an embedding of the definite filling
     built on the string or on its dual (diagonalization), so two
-    exhausted searches prove NotBounds outright.  A found embedding
-    cannot conclude.
+    exhausted searches of the side's cyclic kind prove NotBounds
+    outright.  A found embedding cannot conclude.
     """
-    kind = f"{side}_cyclic"
     if not rec_a.search(kind).found and not rec_d.search(kind).found:
         return _verdict(
             NOT_BOUNDS,
@@ -496,9 +500,9 @@ def _decide(a, t: int, rec_a, rec_d, mode) -> Verdict:
         )
 
     if t % 2 == 0:
-        parity, family, side = "even", S2_TAGS, "positive"
+        parity, family, side, kind = "even", S2_TAGS, "positive", POSITIVE
     else:
-        parity, family, side = "odd", S1_TAGS, "negative"
+        parity, family, side, kind = "odd", S1_TAGS, "negative", NEGATIVE
     tags_a, tags_d = getattr(rec_a, mode), getattr(rec_d, mode)  # .strict or .relaxed
     if t in (0, -1):
         found = tags_a.intersection(family)
@@ -543,7 +547,7 @@ def _decide(a, t: int, rec_a, rec_d, mode) -> Verdict:
     # The intersection form of the bounding handlebody depends only on the
     # parity of t, so exhausted embedding searches obstruct the whole
     # parity class at once.
-    obstructed = _obstructed(a, rec_a, rec_d, side)
+    obstructed = _obstructed(a, rec_a, rec_d, side, kind)
     if obstructed is not None:
         return obstructed
     name = family[0][:2]  # "S2" or "S1"
@@ -571,15 +575,6 @@ def _decide(a, t: int, rec_a, rec_d, mode) -> Verdict:
 # Heegaard Floer data
 
 
-def reduced_floer_rank(t: int) -> int:
-    """Rank of the reduced plus-flavor group at the self-conjugate
-    structure; depends only on the twisting."""
-    if t % 2 == 0:
-        return abs(t) // 2
-    m = (t - 1) // 2
-    return m if m >= 0 else -(m + 1)
-
-
 def correction_term(a, t: int):
     """d-invariant of the self-conjugate structure for odd twisting, as a
     Fraction."""
@@ -592,13 +587,6 @@ def correction_term(a, t: int):
         raise ClassifierError("correction term formula needs a hyperbolic string")
     base = QQ(1) if t >= 1 else QQ(-1)
     return base - QQ(i_invariant(a), 4)
-
-
-def grading_shift(a):
-    """The overall grading shift (3n - sum a_i)/4 = -I(a)/4, as a Fraction."""
-    from fractions import Fraction as QQ  # costs every import qball a few ms
-
-    return -QQ(i_invariant(validate_chain(a)), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -645,17 +633,6 @@ def burau_matrix(word: BraidWord):
     for letter in word.letters:
         m = _mat_mul(m, _BURAU[letter])
     return m
-
-
-def _burau_self_test():
-    m = _ID
-    for letter in ((1, 1), (2, 1)) * 3:
-        m = _mat_mul(m, _BURAU[letter])
-    if m != ((-1, 0), (0, -1)):
-        raise AssertionError("(s1 s2)^3 must map to -Id under the representation")
-
-
-_burau_self_test()
 
 
 def burau_trace_check(a, t: int) -> tuple[int, bool]:

@@ -304,7 +304,7 @@ def run(argv=None, out=None) -> int:
     try:
         try:
             return handler(args, out)
-        except (chainstring.StringError, contfrac.ContfracError, ValueError) as exc:
+        except (chainstring.StringError, contfrac.ContfracError, ValueError, OSError) as exc:
             print(f"qball: error: {exc}", file=sys.stderr)
             return 1
     finally:

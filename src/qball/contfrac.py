@@ -50,11 +50,6 @@ class Fraction:
     def __str__(self):
         return f"{self.p}/{self.q}"
 
-    @classmethod
-    def parse(cls, text: str) -> "Fraction":
-        p, _, q = text.partition("/")
-        return cls(int(p), int(q) if q else 1)
-
 
 @dataclass(frozen=True)
 class MonodromyMatrix:
@@ -99,27 +94,6 @@ def hj_expand(p: int, q: int) -> tuple[int, ...]:
         out.append(a)
         p, q = q, a * q - p
     return tuple(out)
-
-
-def dual_bridge_fractions(b, x: int) -> tuple[Fraction, Fraction]:
-    """Closed-form values of the two chains bridging a dual pair by x+1.
-
-    For linear-dual strings b, c with [b] = p/q and an integer x >= 1,
-    the chain (b_1, ..., b_k, x+1, c_l, ..., c_1) evaluates to
-    x*p^2 / (x*p*q + 1) and the companion chain (c_1, ..., c_l, x+1,
-    b_k, ..., b_1) evaluates to x*p^2 / (x*p^2 - x*p*q + 1).
-    """
-    if x < 1:
-        raise ContfracError(f"bridge parameter must be >= 1, got {x}")
-    b = tuple(b)
-    if not b:
-        raise ContfracError("bridge needs a nonempty string")
-    f = hj_eval(b)
-    p, q = f.p, f.q
-    return (
-        Fraction(x * p * p, x * p * q + 1),
-        Fraction(x * p * p, x * p * p - x * p * q + 1),
-    )
 
 
 def _continuants(a) -> tuple[int, int, int, int]:

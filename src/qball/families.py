@@ -65,17 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chainstring import (
-    StringError,
-    canonical_form,
-    cyclic_blocks,
-    dual_tail_coeffs,
-    is_palindrome,
-    linear_dual,
-    reverse,
-    rotate,
-    validate_chain,
-)
+from .chainstring import canonical_form, cyclic_blocks, linear_dual, reverse, validate_chain
 from .contfrac import cyclic_orders, is_square
 
 S1_TAGS = ("S1a", "S1b", "S1c", "S1d", "S1e")
@@ -89,6 +79,9 @@ MODES = ("strict", "relaxed")
 # the least k+l = len(b) + len(c) each template admits as written;
 # relaxed mode lowers S1d and S2e to 2
 _MIN_KL = {"S1a": 3, "S1b": 2, "S1c": 2, "S1d": 3, "S2a": 1, "S2b": 2, "S2e": 3}
+
+# the length of the S1e and S2d templates at x = 0; x >= 1 adds x
+_FIXED_X_BASE_LEN = {"S1e": 6, "S2d": 5}
 
 # I(a) = sum(a_i - 3) of every member of each family (module docstring)
 _I_BY_TAG = {
@@ -286,7 +279,7 @@ def _match_s1d(s):
 def _match_fixed_x(tag, s):
     # S1e and S2d are parameterized by x alone; the length pins x
     # (length is base_len at x = 0 and base_len + x for x >= 1)
-    base_len = {"S1e": 6, "S2d": 5}[tag]
+    base_len = _FIXED_X_BASE_LEN[tag]
     xs = [0] if len(s) == base_len else []
     if len(s) > base_len:
         xs.append(len(s) - base_len)
@@ -332,11 +325,6 @@ def _match_s2b(s):
     c = reverse((tail[0] - 1,) + tail[1:])
     if linear_dual(b) == c:
         yield {"b": b, "c": c, "x": x, "k": len(b), "l": len(c)}
-
-
-def _match_s2c(s):
-    if s[0] >= 3:
-        yield from _match_s2c_blocks(cyclic_blocks(s))
 
 
 def _match_s2c_blocks(blocks):
@@ -386,7 +374,7 @@ _MATCHERS = {
     "S1e": lambda s: _match_fixed_x("S1e", s),
     "S2a": _match_s2a,
     "S2b": _match_s2b,
-    "S2c": _match_s2c,
+    "S2c": _match_s2c_blocks,  # reads a rotation's cyclic blocks (_scan)
     "S2d": lambda s: _match_fixed_x("S2d", s),
     "S2e": _match_s2e,
     EXCEPTIONAL_TAG: _match_exceptional,
@@ -509,59 +497,6 @@ def in_s2(a, mode: str = "strict") -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the half-reverse criterion for S2c
-
-
-def s2c_halfreverse(a) -> bool:
-    """Decide S2c membership from the blowdown transform alone.
-
-    a (with some entry >= 3) lies in S2c exactly when some dihedral
-    representative with first entry >= 3 admits a split i whose
-    transformed coefficients have the shape (-d_1,...,-d_i, d_1,...,d_i).
-    Splits producing 0 or +-1 coefficients simply do not match.  For
-    length-1 strings there is no split; the template decider answers.
-    """
-    a = validate_chain(a)
-    cyclic_blocks(a)  # raises AllTwosError on all-2 input
-    n = len(a)
-    if n == 1:
-        return bool(list(_match_s2c(a)))
-    for flipped in (False, True):
-        base = reverse(a) if flipped else a
-        for k in range(n):
-            s = rotate(base, k)
-            if s[0] < 3:
-                continue
-            for i in range(1, n):
-                try:
-                    coeffs = dual_tail_coeffs(s, i)
-                except StringError:
-                    continue
-                if len(coeffs) != 2 * i:
-                    continue
-                head, tail = coeffs[:i], coeffs[i:]
-                if tail == tuple(-x for x in head) and tail[0] >= 2 and tail[-1] >= 2:
-                    return True
-    return False
-
-
-def palindrome_criterion(tag: str, b) -> bool:
-    """Palindrome tests deciding when an S2a/S2b string is also in S2c.
-
-    For the S2a string built on b the test is whether (b_1+1, b_2, ...,
-    b_k) is a palindrome; for an S2b string it is whether b itself is.
-    """
-    b = tuple(b)
-    if not b:
-        raise StringError("palindrome criterion needs a nonempty string")
-    if tag == "S2a":
-        return is_palindrome((b[0] + 1,) + b[1:])
-    if tag == "S2b":
-        return is_palindrome(b)
-    raise ValueError(f"palindrome criterion applies to S2a/S2b, not {tag!r}")
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -646,8 +581,8 @@ def enumerate_family(tag: str, max_len: int, mode: str = "strict"):
             yield canonical_form(EXCEPTIONAL)
         return
 
-    if tag in ("S1e", "S2d"):
-        base_len = {"S1e": 6, "S2d": 5}[tag]
+    if tag in _FIXED_X_BASE_LEN:
+        base_len = _FIXED_X_BASE_LEN[tag]
         for x in range(0, max_len - base_len + 2):
             got = emit({"x": x})
             if got is not None:
@@ -703,10 +638,3 @@ def enumerate_family(tag: str, max_len: int, mode: str = "strict"):
     raise ValueError(f"unknown family tag {tag!r}")
 
 
-def enumerate_members(max_len: int, mode: str = "strict"):
-    """Canonical members across all tags, with their tag sets."""
-    table: dict[tuple[int, ...], set[str]] = {}
-    for tag in ALL_TAGS:
-        for s in enumerate_family(tag, max_len, mode):
-            table.setdefault(s, set()).add(tag)
-    return table

@@ -12,16 +12,11 @@ cyclic subset, even parity a positive one (the positive kind also
 requires some a_i >= 3; for n = 2 the double edge carries the sum of
 both signs, 0 or +-2).
 
-Contractions shrink a cyclic subset by one: a basis column hit by
-exactly three vertices, two of them an adjacent pair (v_s, v_stilde)
-with v_stilde of square -2, lets v_stilde merge into v_s while the
-third vertex v_t sheds its coordinate on that column, raising its
-square by one.  The move preserves the kind, the I invariant and every
-incidence count p_j except p_3, which drops by one.  contraction_sites
-lists the legal moves and contract applies one of them; a site is
-"centered" when v_t is adjacent to v_s and "rooted" when v_t meets
-neither.  Expansions are the inverse moves; both are verified against
-each other here.
+incidence_stats records which vertices hit which basis columns and
+p_j, the number of columns hit exactly j times.  Contractions (Lisca
+2007) shrink a cyclic subset by one vertex and expansions grow it; no
+decision uses them, so they are reference code with the tests
+(tests/oracles.py), as are the incidence bound and the catalog checks.
 
 The named subsets of the catalog come from one table, _FIXTURES, which
 also gives FIXTURE_DOC and the least value of each parameter.
@@ -29,7 +24,7 @@ also gives FIXTURE_DOC and the least value of each parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from operator import mul
 
@@ -47,11 +42,6 @@ class LatticeError(ValueError):
     """Raised on malformed subsets or inapplicable moves."""
 
 
-def dot(v: Vector, w: Vector) -> int:
-    """The negative definite pairing -sum(v_j w_j)."""
-    return -sum(x * y for x, y in zip(v, w, strict=True))
-
-
 def gram(vectors) -> tuple[tuple[int, ...], ...]:
     """The matrix of pairings of vectors of one length; each pair is
     multiplied once and mirrored."""
@@ -67,35 +57,6 @@ def gram(vectors) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _rank(vectors) -> int:
-    # fraction-free enough for our sizes: row reduce over QQ
-    from fractions import Fraction as QQ  # costs every import qball a few ms
-
-    rows = [[QQ(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """Provenance of a contraction, enough to re-expand it."""
-
-    site: dict  # the applied entry of contraction_sites(parent)
-    parent_vectors: tuple[Vector, ...]
-
-
 @dataclass(frozen=True)
 class LatticeSubset:
     """An ordered tuple of vectors with its recognized kind and string."""
@@ -103,7 +64,6 @@ class LatticeSubset:
     vectors: tuple[Vector, ...]
     kind: str
     string: tuple[int, ...]
-    provenance: Contraction | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -187,10 +147,6 @@ def classify_subset(vectors) -> LatticeSubset:
     return LatticeSubset(vectors, INVALID, diag)
 
 
-def is_independent(s: LatticeSubset) -> bool:
-    return _rank(s.vectors) == len(s.vectors)
-
-
 @dataclass(frozen=True)
 class IncidenceStats:
     """Which vertices hit which basis columns, and the counts p_i."""
@@ -222,240 +178,6 @@ def incidence_stats(s: LatticeSubset) -> IncidenceStats:
     return IncidenceStats(E, V, p, max_coeff)
 
 
-@dataclass(frozen=True)
-class IncidenceBound:
-    lhs: int
-    rhs: int
-    holds: bool
-    equality_applicable: bool
-    rhs_equality: int | None
-    equality_holds: bool | None
-
-
-def incidence_bound_check(s: LatticeSubset) -> IncidenceBound:
-    """The count inequality 2*p_1 + p_2 >= sum_{j>=4} (j-3)*p_j.
-
-    Needs I(S) <= 0.  When every coefficient is 0 or +-1 the inequality
-    sharpens to the equality 2*p_1 + p_2 = sum (j-3)*p_j - I(S).
-    """
-    if subset_i_invariant(s) > 0:
-        raise LatticeError("incidence bound needs I(S) <= 0")
-    st = incidence_stats(s)
-    lhs = 2 * st.p_count(1) + st.p_count(2)
-    rhs = sum((j - 3) * c for j, c in st.p.items() if j >= 4)
-    applicable = st.max_coeff <= 1
-    rhs_eq = rhs - subset_i_invariant(s) if applicable else None
-    return IncidenceBound(
-        lhs,
-        rhs,
-        lhs >= rhs,
-        applicable,
-        rhs_eq,
-        (lhs == rhs_eq) if applicable else None,
-    )
-
-
-def negate_vertex(s: LatticeSubset, k: int) -> LatticeSubset:
-    """Replace v_k by -v_k; the kind and string are unchanged."""
-    if not 0 <= k < s.n:
-        raise LatticeError(f"vertex index {k} out of range")
-    vectors = list(s.vectors)
-    vectors[k] = tuple(-c for c in vectors[k])
-    out = classify_subset(vectors)
-    if out.kind != s.kind or out.kind in (NEGATIVE, POSITIVE) and out.string != s.string:
-        raise AssertionError("negating a vertex changed the subset kind")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# contractions
-
-
-def _cyclic_neighbors(i: int, n: int) -> tuple[int, int]:
-    return ((i - 1) % n, (i + 1) % n)
-
-
-def contraction_sites(s: LatticeSubset) -> list[dict]:
-    """All legal contraction moves on a cyclic subset.
-
-    Each site records the move type, the merged pair (s, s_tilde), the
-    shrinking vertex t and the basis column.  Centered moves need v_t
-    adjacent to v_s; rooted moves need v_t orthogonal to both.
-    """
-    if s.kind not in (NEGATIVE, POSITIVE) or s.n < 3:
-        return []
-    n = s.n
-    st = incidence_stats(s)
-    diag = [-dot(v, v) for v in s.vectors]
-    sites = []
-    for col, hits in st.E.items():
-        if len(hits) != 3:
-            continue
-        if any(abs(s.vectors[u][col]) != 1 for u in hits):
-            continue
-        for v_s in hits:
-            for v_st in set(_cyclic_neighbors(v_s, n)) & hits:
-                others = hits - {v_s, v_st}
-                if len(others) != 1:
-                    continue
-                (v_t,) = others
-                if diag[v_st] != 2 or diag[v_t] < 3:
-                    continue
-                if st.V[v_s] & st.V[v_st] != {col}:
-                    continue
-                g_ts = dot(s.vectors[v_t], s.vectors[v_s])
-                g_tst = dot(s.vectors[v_t], s.vectors[v_st])
-                if abs(g_ts) == 1 and v_t in _cyclic_neighbors(v_s, n):
-                    move = "centered"
-                elif g_ts == 0 and g_tst == 0:
-                    move = "rooted"
-                else:
-                    continue
-                sites.append(
-                    {"move": move, "s": v_s, "s_tilde": v_st, "t": v_t, "basis": col}
-                )
-    return sites
-
-
-def contract(s: LatticeSubset, site: dict) -> LatticeSubset:
-    """Apply the contraction at one entry of contraction_sites(s)."""
-    if site not in contraction_sites(s):
-        raise LatticeError(f"{site} is not a contraction site of the subset")
-    vs, vst, col = site["s"], site["s_tilde"], site["basis"]
-    vecs = list(s.vectors)
-    # normalize so the merged pair has intersection +1 (a vertex flip,
-    # which moves a negative intersection without changing the string);
-    # the provenance records the normalized parent, which is the subset
-    # the inverse expansion reproduces
-    if dot(vecs[vs], vecs[vst]) == -1:
-        vecs[vst] = tuple(-c for c in vecs[vst])
-    parent = tuple(vecs)
-    vecs[vs] = tuple(a + b for a, b in zip(vecs[vs], vecs[vst]))
-    del vecs[vst]
-    # dropping the column sheds v_t's coordinate there; the merged
-    # pair's coordinates on it cancel
-    out = classify_subset([v[:col] + v[col + 1 :] for v in vecs])
-    if out.kind != s.kind:
-        raise LatticeError(
-            f"contraction changed kind {s.kind} -> {out.kind}; move was illegal"
-        )
-    return LatticeSubset(out.vectors, out.kind, out.string, Contraction(site, parent))
-
-
-# ---------------------------------------------------------------------------
-# expansions (inverse moves, used to generate test subjects)
-
-
-def expansion_sites(s: LatticeSubset) -> list[dict]:
-    """Candidate -2-expansions of a cyclic subset.
-
-    An expansion picks a cycle edge (u, w) whose intersection is carried
-    entirely by one column m on which w has a unit coefficient, splits w
-    into a fresh -2 bridge vertex c_w*(e_m - e_new) plus a rerouted
-    remainder, and adds the new column to a grow vertex t (t = u is the
-    length-2 and wraparound case), raising a_t by one.  Sites are only
-    candidates; expand() validates the resulting Gram matrix.
-    """
-    if s.kind not in (NEGATIVE, POSITIVE):
-        return []
-    n = s.n
-    vecs = s.vectors
-    sites = []
-    for u in range(n):
-        w = (u + 1) % n
-        for m in range(n):
-            cu, cw = vecs[u][m], vecs[w][m]
-            if cu == 0 or cw == 0:
-                continue
-            if dot(vecs[u], vecs[w]) != -cu * cw:
-                continue  # edge not carried by column m alone
-            if abs(cw) == 1:
-                for t in range(n):
-                    if t != w:
-                        sites.append({"u": u, "w": w, "m": m, "t": t, "split": "w"})
-            if abs(cu) == 1:
-                for t in range(n):
-                    if t != u:
-                        sites.append({"u": u, "w": w, "m": m, "t": t, "split": "u"})
-    return sites
-
-
-def expand_all(s: LatticeSubset, site: dict):
-    """Yield every legal subset a -2-expansion at the site can produce.
-
-    Each result has one more vertex (the bridge, inserted between u and
-    w), the same kind and the same I invariant.  By default the later
-    endpoint w of the edge is split; sites with split = "u" split the
-    earlier one (the mirror move, run on the reversed cycle).  The sign
-    variants differ only by negated vertices, i.e. by where the negative
-    intersections sit.
-    """
-    n = s.n
-    if site.get("split", "w") == "u":
-        rev = classify_subset(tuple(reversed(s.vectors)))
-        mirror = {
-            "u": n - 1 - site["w"],
-            "w": n - 1 - site["u"],
-            "m": site["m"],
-            "t": n - 1 - site["t"],
-        }
-        for out in expand_all(rev, mirror):
-            yield classify_subset(tuple(reversed(out.vectors)))
-        return
-    u, w, m, t = site["u"], site["w"], site["m"], site["t"]
-    if (u + 1) % n != w or t == w:
-        return
-    cw = s.vectors[w][m]
-    if abs(cw) != 1:
-        return
-    new_col = n
-    for bridge_sign in (1, -1):
-        rows = [list(v) + [0] for v in s.vectors]
-        rows[w][m] = 0
-        rows[w][new_col] = bridge_sign * cw
-        bridge = [0] * (n + 1)
-        bridge[m] = cw
-        bridge[new_col] = -bridge_sign * cw
-        for t_sign in (1, -1):
-            rows[t][new_col] = t_sign
-            if w == 0:
-                # the split edge wraps; the bridge closes the seam and can
-                # be listed at either end (the same cyclic order)
-                orderings = [
-                    [tuple(r) for r in rows] + [tuple(bridge)],
-                    [tuple(bridge)] + [tuple(r) for r in rows],
-                ]
-            else:
-                orderings = [
-                    [tuple(r) for r in rows[:w]]
-                    + [tuple(bridge)]
-                    + [tuple(r) for r in rows[w:]]
-                ]
-            for ordered in orderings:
-                out = classify_subset(ordered)
-                if out.kind == s.kind:
-                    yield out
-
-
-def expand(s: LatticeSubset, site: dict) -> LatticeSubset:
-    """First legal result of expand_all; raises when the site is illegal."""
-    for out in expand_all(s, site):
-        return out
-    raise LatticeError(f"no legal expansion at site {site}")
-
-
-def random_expansion(s: LatticeSubset, rng) -> LatticeSubset | None:
-    """One random legal expansion of s, or None if none applies."""
-    sites = expansion_sites(s)
-    rng.shuffle(sites)
-    for site in sites:
-        try:
-            return expand(s, site)
-        except LatticeError:
-            continue
-    return None
-
-
 # ---------------------------------------------------------------------------
 # named fixtures
 
@@ -476,11 +198,16 @@ def _star_vectors(k: int) -> list[Vector]:
     return [_vec(n, i, -(i % n + 1), -((i + 1) % n + 1)) for i in order]
 
 
-def _star_expanded(k: int) -> tuple[Vector, ...]:
-    # the k >= 1 family with string (4, 3^[k], 2, 3^[k]): split the edge
-    # after the (k+1)-st star vertex over the e_2 column, growing the first
-    star = classify_subset(_star_vectors(k))
-    return expand(star, {"u": k, "w": k + 1, "m": 1, "t": 0}).vectors
+def _star_expanded(k: int) -> list[Vector]:
+    # the k >= 1 family with string (4, 3^[k], 2, 3^[k]): the star gains a
+    # column e_new, which v_0 meets with -1 and v_{k+1} takes its e_2
+    # coefficient to, and the -2 bridge e_2 - e_new enters before v_{k+1}
+    n = 2 * k + 2
+    rows = [list(v) + [0] for v in _star_vectors(k)]
+    rows[0][-1] = -1
+    rows[k + 1][1], rows[k + 1][-1] = 0, rows[k + 1][1]
+    rows.insert(k + 1, _vec(n, 2, -n))
+    return [tuple(r) for r in rows]
 
 
 def _chain_cycle(n: int) -> list[Vector]:
@@ -553,56 +280,6 @@ def _standard_catalog(case: str, x: int, y: int) -> list[Vector]:
     if y >= 1:
         tail = [_vec(n, 4, -(x + 6))] + _path(n, x + 6, x + y + 5)
     return head + mid + tail
-
-
-def check_catalog_2c(s: LatticeSubset) -> bool:
-    """Constraint checker for the free-vector standard catalog family.
-
-    The I = -2 catalog family with string (b_1,...,b_k+1,2,2,c_l+1,...,
-    c_1) is described by side conditions rather than a closed form, so
-    this verifies a candidate instead of generating one: the subset must
-    be standard with unit coefficients and its string must split at the
-    central (2,2) into end-bumped linear-dual halves; the two final
-    vertices must share a column of multiplicity two with opposite
-    signs on a multiplicity-three column they also share with a vertex
-    adjacent to an end.
-    """
-    from .chainstring import linear_dual
-
-    if s.kind != STANDARD:
-        return False
-    st = incidence_stats(s)
-    if st.max_coeff > 1 or subset_i_invariant(s) != -2:
-        return False
-    n = s.n
-    strings = [s.string, tuple(reversed(s.string))]
-    split_ok = False
-    for string in strings:
-        for k in range(1, n - 3):
-            if string[k + 1] != 2 or string[k + 2] != 2:
-                continue
-            head = string[: k + 1]
-            tail = string[k + 3 :]
-            if not tail:
-                continue
-            b = head[:-1] + (head[-1] - 1,)
-            c = tuple(reversed((tail[0] - 1,) + tail[1:]))
-            if min(b) >= 2 and min(c) >= 2 and linear_dual(b) == c and len(b) + len(c) >= 3:
-                split_ok = True
-    if not split_ok:
-        return False
-    first, last = s.vectors[0], s.vectors[-1]
-    shared_two = any(
-        len(st.E[j]) == 2 and st.E[j] == frozenset({0, n - 1}) for j in range(n)
-    )
-    opposed_three = any(
-        len(st.E[j]) == 3
-        and 0 in st.E[j]
-        and n - 1 in st.E[j]
-        and first[j] * last[j] == -1
-        for j in range(n)
-    )
-    return shared_two and opposed_three
 
 
 # name -> (doc, least value of each parameter, builder of the vectors)

@@ -4,12 +4,13 @@ from math import isqrt
 
 import pytest
 
-from qball.chainstring import linear_dual, reverse, rotate
+from qball.chainstring import cyclic_blocks, linear_dual, reverse
 from qball.classifier import _ID, _S, NormalFormNotFound, _mat_mul, _t_pow
 from qball.contfrac import ContfracError, hj_eval, is_square
 from qball.embedsearch import EXHAUSTED, FOUND, SearchResult, _Engine, _square_partitions, _target_gram, gram_order
-from qball.families import _MATCHERS, Witness, _unbump_both_ends, member, side_condition_holds
+from qball.families import _MATCHERS, Witness, _match_s2c_blocks, _unbump_both_ends, member, side_condition_holds
 from qball.lattice import NEGATIVE, POSITIVE
+from oracles import rotate
 
 
 @pytest.fixture
@@ -236,6 +237,8 @@ _RAW_MATCHERS = {
     "S2a": _raw_match_s2a,
     "S2b": _raw_match_s2b,
     "S2e": _raw_match_s2e,
+    # the package's S2c matcher reads the cyclic blocks the scan parses
+    "S2c": lambda s: _match_s2c_blocks(cyclic_blocks(s)) if s[0] >= 3 else (),
 }
 
 

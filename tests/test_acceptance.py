@@ -33,7 +33,6 @@ from qball.classifier import (
     correction_term,
 )
 from qball.contfrac import (
-    dual_bridge_fractions,
     hj_eval,
     homology_order,
     is_square,
@@ -53,25 +52,28 @@ from qball.families import (
     S2_TAGS,
     assemble,
     dual_pairs,
-    enumerate_members,
     enumerate_strings,
     in_family,
-    palindrome_criterion,
-    s2c_halfreverse,
 )
 from qball.lattice import (
     NEGATIVE,
     POSITIVE,
     STANDARD,
-    contract,
-    contraction_sites,
     fixture,
     gram,
     incidence_stats,
-    random_expansion,
     subset_i_invariant,
 )
 from conftest import assert_negative_cyclic_witness, naive_find, random_string, s1a_square_order
+from oracles import (
+    contract,
+    contraction_sites,
+    dual_bridge_fractions,
+    enumerate_members,
+    palindrome_criterion,
+    random_expansion,
+    s2c_halfreverse,
+)
 
 
 def report(num, text):
@@ -351,7 +353,7 @@ def test_criterion_7_contraction_suite():
         # legal expansion reproduces the Gram matrix of the contracted
         # parent (the provenance parent, normalized by a vertex flip when
         # the merged pair met in a negative intersection)
-        from qball.lattice import expand_all, expansion_sites
+        from oracles import expand_all, expansion_sites
 
         parent = out.provenance.parent_vectors
         parent_gram = gram(parent)

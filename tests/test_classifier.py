@@ -10,7 +10,7 @@ from math import isqrt
 import pytest
 
 from qball import classifier
-from qball.chainstring import canonical_form, cyclic_dual, reverse, rotate
+from qball.chainstring import canonical_form, cyclic_dual, reverse
 from qball.classifier import (
     BOUNDS,
     NOT_BOUNDS,
@@ -27,10 +27,8 @@ from qball.classifier import (
     classify_surgery,
     classify_torus_bundle,
     correction_term,
-    grading_shift,
     _hyperbolic_cycle,
     normalize_monodromy,
-    reduced_floer_rank,
     string_matrix,
 )
 from qball.contfrac import homology_order, is_square
@@ -45,6 +43,7 @@ from qball.embedsearch import (
 from qball.families import enumerate_strings, mode_tag_sets, tags_of
 from qball.lattice import NEGATIVE, POSITIVE
 from conftest import hyperbolic_cycle_digitwise, random_string, s1a_square_order
+from oracles import rotate
 
 _ID = ((1, 0), (0, 1))
 
@@ -711,23 +710,12 @@ def test_string_memo_scans_each_orbit_once(monkeypatch):
 # Heegaard Floer data
 
 
-def test_reduced_floer_rank():
-    assert reduced_floer_rank(0) == 0
-    assert reduced_floer_rank(4) == 2
-    assert reduced_floer_rank(-4) == 2
-    assert reduced_floer_rank(5) == 2
-    assert reduced_floer_rank(1) == 0
-    assert reduced_floer_rank(-1) == 0
-    assert reduced_floer_rank(-3) == 1
-
-
 def test_correction_term():
     assert correction_term((2, 2, 2, 3, 2), 1) == 2
     assert correction_term((3, 3, 3), -1) == -1
     assert correction_term((3, 2), 1) == QQ(5, 4)
     with pytest.raises(ClassifierError):
         correction_term((3, 2), 2)
-    assert grading_shift((2, 2, 2, 3, 2)) == 1
 
 
 def test_correction_term_antisymmetry():

@@ -71,9 +71,8 @@ def test_run_leaves_argparse_and_locale_unloaded():
 
 
 def test_import_leaves_fractions_unloaded():
-    # only test-only helpers (correction_term, grading_shift, _rank) use
-    # Fraction; importing the package must not pay for fractions, which
-    # also loads decimal
+    # only correction_term, which no decision calls, uses Fraction; importing
+    # the package must not pay for fractions, which also loads decimal
     done = _checkout_python("-c", "import sys, qball; print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -266,6 +265,16 @@ def test_out_file_untouched_on_usage_error(tmp_path):
     code = run(["verify", "--max-n", "4", "--skip-until", "9,9", "--out", str(path)])
     assert code == 1
     assert path.read_bytes() == b"keep\n"
+
+
+def test_out_file_that_cannot_be_opened_exits_1(tmp_path):
+    # an --out path in a missing directory is reported as an error line,
+    # not a traceback
+    path = tmp_path / "missing" / "x.jsonl"
+    done = _checkout_python("-m", "qball.cli", "verify", "--max-n", "2", "--out", str(path))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("qball: error: ") and str(path) in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_option_forms():

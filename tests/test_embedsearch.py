@@ -37,7 +37,6 @@ from qball.families import (
     EXCEPTIONAL_TAG,
     S1_TAGS,
     S2_TAGS,
-    enumerate_members,
     enumerate_strings,
     in_s1,
     in_s2,
@@ -51,6 +50,7 @@ from conftest import (
     naive_find,
     square_searches,
 )
+from oracles import enumerate_members
 
 
 def canonical_strings(n, max_entry, i_max=0):

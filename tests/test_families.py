@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from conftest import member_raw, member_tag_sets
+from oracles import enumerate_members, palindrome_criterion, rotate, s2c_halfreverse
 
 from qball import families
 from qball.chainstring import (
@@ -14,7 +15,6 @@ from qball.chainstring import (
     i_invariant,
     linear_dual,
     reverse,
-    rotate,
 )
 from qball.contfrac import cyclic_orders, is_square
 from qball.families import (
@@ -29,15 +29,12 @@ from qball.families import (
     assemble,
     dual_pairs,
     enumerate_family,
-    enumerate_members,
     enumerate_strings,
     in_family,
     in_s1,
     in_s2,
     member,
     mode_tag_sets,
-    palindrome_criterion,
-    s2c_halfreverse,
     side_condition_holds,
     tags_of,
 )

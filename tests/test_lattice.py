@@ -14,18 +14,20 @@ from qball.lattice import (
     STANDARD,
     LatticeError,
     classify_subset,
+    fixture,
+    gram,
+    incidence_stats,
+    subset_i_invariant,
+)
+from oracles import (
+    check_catalog_2c,
     contract,
     contraction_sites,
     expand,
     expansion_sites,
-    fixture,
-    gram,
     incidence_bound_check,
-    incidence_stats,
     is_independent,
-    negate_vertex,
     random_expansion,
-    subset_i_invariant,
 )
 
 
@@ -132,10 +134,15 @@ def test_fixture_rejects_missing_extra_and_small_parameters():
 
 
 def test_star_expanded_fixture():
-    for k in range(1, 4):
+    # the closed form lists exactly the vectors, in order, of the
+    # expansion splitting the edge after the (k+1)-st star vertex over
+    # the e_2 column and growing the first vertex
+    for k in range(1, 7):
         s = fixture("star_expanded", k=k)
         want = canonical_form((4,) + (3,) * k + (2,) + (3,) * k)
         assert (s.kind, s.string) == (POSITIVE, want)
+        site = {"u": k, "w": k + 1, "m": 1, "t": 0}
+        assert s.vectors == expand(fixture("star", k=k), site).vectors, k
 
 
 def test_standard_catalog():
@@ -189,16 +196,23 @@ def test_incidence_bound_golden():
 
 
 def test_negate_vertex():
+    # replacing v_k by -v_k moves negative intersections around the cycle
+    # without changing the kind or the string
+    def negated(s, k):
+        vectors = list(s.vectors)
+        vectors[k] = tuple(-c for c in vectors[k])
+        return classify_subset(vectors)
+
     s = fixture("base2_negative")
-    t = negate_vertex(s, 1)
+    t = negated(s, 1)
     assert t.vectors == ((1, -1), (-1, -1))
     assert (t.kind, t.string) == (s.kind, s.string)
-    assert negate_vertex(t, 1).vectors == s.vectors
-    s = fixture("length5_23232")
-    for k in range(5):
-        assert negate_vertex(s, k).string == s.string
-    with pytest.raises(LatticeError):
-        negate_vertex(s, 9)
+    assert negated(t, 1).vectors == s.vectors
+    for name, params in [("length5_23232", {}), ("exceptional", {}), ("star_expanded", {"k": 2})]:
+        s = fixture(name, **params)
+        for k in range(s.n):
+            t = negated(s, k)
+            assert (t.kind, t.string) == (s.kind, s.string), (name, k)
 
 
 def test_contract_base_case():
@@ -341,7 +355,6 @@ def test_max_coeff_one_on_i0_fixtures():
 def test_catalog_2c_checker():
     from qball.embedsearch import find_embedding
     from qball.families import dual_pairs
-    from qball.lattice import check_catalog_2c
 
     hits = 0
     for b, c in dual_pairs(7):
